@@ -9,7 +9,9 @@
 //!
 //! To keep refutations exact we never touch floating point: a DFF is
 //! represented by an integer map `v : {0..W} → {0..D}` with denominator `D`,
-//! meaning `f(w / W) = v(w) / D`.
+//! meaning `f(w / W) = v(w) / D`. The map is evaluated in closed form at
+//! the task sizes only, never tabulated over `0..W`, so the bound's cost
+//! does not grow with the container.
 //!
 //! Implemented families (paper's references [8, 10]):
 //!
@@ -23,21 +25,29 @@ use recopack_model::{Dim, Instance};
 use crate::Refutation;
 
 /// An integer-exact dual feasible function for one dimension of capacity `W`:
-/// size `w` maps to `values[w] / denominator` of the container.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// size `w` maps to `value(w) / denominator()` of the container.
+///
+/// Values are computed in closed form, so a DFF costs the same on a
+/// 10⁹-wide chip as on a 10-wide one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntegerDff {
-    name: String,
-    values: Vec<u64>,
-    denominator: u64,
+    capacity: u64,
+    family: Family,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Family {
+    Identity,
+    Threshold { eps_num: u64 },
+    Staircase { k: u64 },
 }
 
 impl IntegerDff {
     /// The identity DFF on capacity `capacity`.
     pub fn identity(capacity: u64) -> Self {
         Self {
-            name: "id".to_string(),
-            values: (0..=capacity).collect(),
-            denominator: capacity,
+            capacity,
+            family: Family::Identity,
         }
     }
 
@@ -53,21 +63,9 @@ impl IntegerDff {
     pub fn threshold(capacity: u64, eps_num: u64) -> Self {
         assert!(eps_num > 0, "epsilon must be positive");
         assert!(2 * eps_num <= capacity, "epsilon must be at most 1/2");
-        let values = (0..=capacity)
-            .map(|w| {
-                if w > capacity - eps_num {
-                    capacity
-                } else if w >= eps_num {
-                    w
-                } else {
-                    0
-                }
-            })
-            .collect();
         Self {
-            name: format!("u^({eps_num}/{capacity})"),
-            values,
-            denominator: capacity,
+            capacity,
+            family: Family::Threshold { eps_num },
         }
     }
 
@@ -79,42 +77,55 @@ impl IntegerDff {
     /// Panics if `k == 0`.
     pub fn staircase(capacity: u64, k: u64) -> Self {
         assert!(k > 0, "k must be positive");
-        // Common denominator k * capacity:
-        //   integral case: value = k * w
-        //   else:          value = capacity * floor((k+1) w / capacity)
-        let values = (0..=capacity)
-            .map(|w| {
+        Self {
+            capacity,
+            family: Family::Staircase { k },
+        }
+    }
+
+    /// Name identifying the family and parameter, formatted on each call.
+    pub fn name(&self) -> String {
+        match self.family {
+            Family::Identity => "id".to_string(),
+            Family::Threshold { eps_num } => format!("u^({eps_num}/{})", self.capacity),
+            Family::Staircase { k } => format!("f^({k})"),
+        }
+    }
+
+    /// The transformed size of `w`, in units of `1 / denominator()`, for
+    /// `w` at most the capacity.
+    pub fn value(&self, w: u64) -> u64 {
+        let capacity = self.capacity;
+        match self.family {
+            Family::Identity => w,
+            Family::Threshold { eps_num } => {
+                if w > capacity - eps_num {
+                    capacity
+                } else if w >= eps_num {
+                    w
+                } else {
+                    0
+                }
+            }
+            // Common denominator k * capacity:
+            //   integral case: value = k * w
+            //   else:          value = capacity * floor((k+1) w / capacity)
+            Family::Staircase { k } => {
                 if ((k + 1) * w).is_multiple_of(capacity) {
                     k * w
                 } else {
                     capacity * (((k + 1) * w) / capacity)
                 }
-            })
-            .collect();
-        Self {
-            name: format!("f^({k})"),
-            values,
-            denominator: k * capacity,
+            }
         }
-    }
-
-    /// Name identifying the family and parameter.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The transformed size of `w`, in units of `1 / denominator()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` exceeds the capacity the DFF was built for.
-    pub fn value(&self, w: u64) -> u64 {
-        self.values[w as usize]
     }
 
     /// The denominator of the representation.
     pub fn denominator(&self) -> u64 {
-        self.denominator
+        match self.family {
+            Family::Identity | Family::Threshold { .. } => self.capacity,
+            Family::Staircase { k } => k * self.capacity,
+        }
     }
 
     /// Verifies dual feasibility exhaustively for all integer multisets that
@@ -124,10 +135,9 @@ impl IntegerDff {
     /// it suffices to check greedy worst cases; we do full DFS over
     /// nonincreasing size sequences (small capacities only).
     pub fn is_dual_feasible(&self) -> bool {
-        let cap = (self.values.len() - 1) as u64;
         // DFS over multisets with nonincreasing sizes.
         fn dfs(dff: &IntegerDff, max_size: u64, left: u64, acc: u64) -> bool {
-            if acc > dff.denominator {
+            if acc > dff.denominator() {
                 return false;
             }
             for s in (1..=max_size.min(left)).rev() {
@@ -137,7 +147,7 @@ impl IntegerDff {
             }
             true
         }
-        dfs(self, cap, cap, 0)
+        dfs(self, self.capacity, self.capacity, 0)
     }
 }
 
@@ -162,6 +172,28 @@ pub fn stock_dffs(capacity: u64, sizes: &[u64]) -> Vec<IntegerDff> {
     dffs
 }
 
+/// One dimension's stock DFFs, each with its value for every task (indexed
+/// by task id), so the combination loop only multiplies and adds.
+fn evaluated_stock(capacity: u64, sizes: &[u64]) -> Vec<(IntegerDff, Vec<u64>)> {
+    stock_dffs(capacity, sizes)
+        .into_iter()
+        .map(|dff| (dff, sizes.iter().map(|&s| dff.value(s)).collect()))
+        .collect()
+}
+
+/// Whether [`refute_dff`]'s arithmetic is exact for `tasks` tasks that fit
+/// `container`: a rescaled size is at most its denominator, at most 3× the
+/// capacity (u64), so a rescaled volume sum is below
+/// `(tasks + 1) · 4W · 4H · 4T` (u128). Holds up to sides of about 10¹².
+fn exact_range(container: [u64; 3], tasks: usize) -> bool {
+    container
+        .iter()
+        .try_fold(tasks as u128 + 1, |acc, &c| {
+            (c <= u64::MAX / 4).then_some(acc.checked_mul(4 * u128::from(c))?)
+        })
+        .is_some()
+}
+
 /// Tries combinations of stock DFFs over the three dimensions; returns a
 /// refutation if any combination pushes the rescaled volume over capacity.
 ///
@@ -170,27 +202,27 @@ pub fn stock_dffs(capacity: u64, sizes: &[u64]) -> Vec<IntegerDff> {
 /// exact regardless.
 pub fn refute_dff(instance: &Instance) -> Option<Refutation> {
     let container = instance.container();
-    if container.contains(&0) {
-        return None; // degenerate containers are handled by the fit bound
+    // Degenerate containers and oversized tasks are the fit bound's. Past
+    // the exact range the sums below could wrap, and the bound stays silent
+    // rather than risk an unsound refutation.
+    if container.contains(&0)
+        || !exact_range(container, instance.task_count())
+        || crate::volume::refute_fit(instance).is_some()
+    {
+        return None;
     }
-    let per_dim: Vec<Vec<IntegerDff>> = Dim::ALL
-        .iter()
-        .map(|&d| stock_dffs(container[d.index()], &instance.sizes(d)))
-        .collect();
-    for fx in &per_dim[0] {
-        for fy in &per_dim[1] {
-            for ft in &per_dim[2] {
+    let [xs, ys, ts] = Dim::ALL.map(|d| evaluated_stock(container[d.index()], &instance.sizes(d)));
+    for (fx, vx) in &xs {
+        for (fy, vy) in &ys {
+            for (ft, vt) in &ts {
                 let capacity = u128::from(fx.denominator())
                     * u128::from(fy.denominator())
                     * u128::from(ft.denominator());
-                let total: u128 = instance
-                    .tasks()
+                let total: u128 = vx
                     .iter()
-                    .map(|t| {
-                        u128::from(fx.value(t.width()))
-                            * u128::from(fy.value(t.height()))
-                            * u128::from(ft.value(t.duration()))
-                    })
+                    .zip(vy)
+                    .zip(vt)
+                    .map(|((&x, &y), &t)| u128::from(x) * u128::from(y) * u128::from(t))
                     .sum();
                 if total > capacity {
                     return Some(Refutation::Dff {
@@ -269,6 +301,80 @@ mod tests {
             matches!(refutation, Some(Refutation::Dff { .. })),
             "{refutation:?}"
         );
+    }
+
+    #[test]
+    fn refutation_names_the_combination() {
+        let i = Instance::builder()
+            .chip(Chip::square(10))
+            .horizon(1)
+            .task(Task::new("a", 6, 6, 1))
+            .task(Task::new("b", 6, 6, 1))
+            .task(Task::new("c", 4, 4, 1))
+            .build()
+            .expect("valid");
+        assert_eq!(
+            refute_dff(&i),
+            Some(Refutation::Dff {
+                description: "(id, f^(1), id): rescaled volume 120 > 100".to_string()
+            })
+        );
+    }
+
+    #[test]
+    fn closed_forms_match_their_definitions() {
+        let cap = 12;
+        let staircase = IntegerDff::staircase(cap, 2);
+        assert_eq!(staircase.denominator(), 24);
+        // 3 * 4 / 12 is integral: f(x) = x, i.e. 2 * 4 / 24.
+        assert_eq!(staircase.value(4), 8);
+        // 3 * 5 / 12 = 1.25: f(x) = 1 / 2, i.e. 12 / 24.
+        assert_eq!(staircase.value(5), 12);
+        let threshold = IntegerDff::threshold(cap, 3);
+        assert_eq!(
+            (0..=cap).map(|w| threshold.value(w)).collect::<Vec<_>>(),
+            [0, 0, 0, 3, 4, 5, 6, 7, 8, 9, 12, 12, 12]
+        );
+        assert_eq!(threshold.name(), "u^(3/12)");
+    }
+
+    #[test]
+    fn billion_sided_containers_cost_no_table() {
+        // Three small modules on a 10^9 x 10^9 chip: every bound passes,
+        // and no DFF is tabulated over the billion sizes.
+        let i = Instance::builder()
+            .chip(Chip::square(1_000_000_000))
+            .horizon(4)
+            .task(Task::new("a", 2, 2, 2))
+            .task(Task::new("b", 3, 1, 2))
+            .task(Task::new("c", 1, 5, 1))
+            .precedence("a", "b")
+            .build()
+            .expect("valid");
+        assert_eq!(crate::refute(&i), None);
+    }
+
+    #[test]
+    fn containers_past_the_exact_range_are_left_alone() {
+        // The threshold instance scaled by 10^12 in every dimension: the
+        // rescaled volumes would pass 2^128, so the bound must stay silent
+        // instead of wrapping; scaled in space only, it still refutes.
+        let scaled = |s: u64, t: u64| {
+            Instance::builder()
+                .chip(Chip::square(10 * s))
+                .horizon(t)
+                .task(Task::new("a", 6 * s, 6 * s, t))
+                .task(Task::new("b", 6 * s, 6 * s, t))
+                .task(Task::new("c", 4 * s, 4 * s, t))
+                .build()
+                .expect("valid")
+        };
+        let big = 1_000_000_000_000;
+        assert_eq!(refute_dff(&scaled(big, big)), None);
+        assert!(matches!(
+            refute_dff(&scaled(big, 1)),
+            Some(Refutation::Dff { .. })
+        ));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use recopack_model::{Chip, Instance, Placement};
 
+use crate::bracket::{gallop, largest_side, side_by_side, Tally};
 use crate::config::{SolverConfig, SolverStats};
-use crate::opp::{Opp, SolveOutcome};
 
 /// Result of a base minimization.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,7 +20,7 @@ pub struct BmpResult {
 }
 
 /// Minimizes the square chip side `h` such that all tasks fit `h × h × T`
-/// (binary search over the monotone feasibility predicate, paper §3.1).
+/// (search over the monotone feasibility predicate, paper §3.1).
 ///
 /// The instance's own chip is ignored; only its horizon, tasks and
 /// precedence matter.
@@ -59,77 +59,43 @@ impl<'a> Bmp<'a> {
 
     /// Finds the minimal square chip; `None` when no chip works (the
     /// critical path exceeds the horizon) or the budget ran out.
+    ///
+    /// Probes the largest module side, then doubles up to the side where
+    /// all modules fit side by side (which meets any horizon from the
+    /// critical path up), then binary-searches; every packing found moves
+    /// the upper end down to its bounding square.
     pub fn solve(&self) -> Option<BmpResult> {
         // No chip can beat the precedence structure.
         if self.instance.critical_path_length() > self.instance.horizon() {
             return None;
         }
-        let mut stats = SolverStats::default();
-        let mut decisions = 0;
-        let mut check = |side: u64| -> Option<Option<Placement>> {
-            let candidate = self.instance.clone().with_chip(Chip::square(side));
-            let (outcome, s) = Opp::new(&candidate)
-                .with_config(self.config.clone())
-                .solve_with_stats();
-            decisions += 1;
-            stats.accumulate(&s);
-            match outcome {
-                SolveOutcome::Feasible(p) => Some(Some(p)),
-                SolveOutcome::Infeasible(_) => Some(None),
-                SolveOutcome::ResourceLimit(_) => None,
-            }
-        };
-
-        // Lower bound: every task must fit; upper bound by doubling.
-        let mut lo = self
-            .instance
-            .tasks()
-            .iter()
-            .map(|t| t.width().max(t.height()))
-            .max()
-            .unwrap_or(0);
-        if lo == 0 {
+        let smallest = largest_side(self.instance);
+        let mut tally = Tally::default();
+        if smallest == 0 {
             // No tasks: the 0x0 chip trivially works.
             let empty = self.instance.clone().with_chip(Chip::square(0));
-            let placement = Placement::new(vec![], &empty);
             return Some(BmpResult {
                 side: 0,
-                placement,
-                stats,
-                decisions,
+                placement: Placement::new(vec![], &empty),
+                stats: tally.stats,
+                decisions: tally.decisions,
             });
         }
-        let mut hi = lo;
-        let best: Option<(u64, Placement)>;
-        loop {
-            match check(hi)? {
-                Some(p) => {
-                    best = Some((hi, p));
-                    break;
-                }
-                None => {
-                    lo = hi + 1;
-                    hi = hi.saturating_mul(2);
-                }
-            }
-        }
-        // Invariant: feasible at `hi` (stored in best), infeasible below `lo`.
-        let (mut best_side, mut best_placement) = best.expect("loop breaks on success");
-        while lo < best_side {
-            let mid = lo + (best_side - lo) / 2;
-            match check(mid)? {
-                Some(p) => {
-                    best_side = mid;
-                    best_placement = p;
-                }
-                None => lo = mid + 1,
-            }
-        }
+        let (side, placement) = gallop(
+            smallest,
+            smallest,
+            side_by_side(self.instance),
+            Placement::bounding_square,
+            |side| {
+                let candidate = self.instance.clone().with_chip(Chip::square(side));
+                tally.opp(&candidate, &self.config)
+            },
+        )?;
         Some(BmpResult {
-            side: best_side,
-            placement: best_placement,
-            stats,
-            decisions,
+            side,
+            placement,
+            stats: tally.stats,
+            decisions: tally.decisions,
         })
     }
 }

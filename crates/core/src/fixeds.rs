@@ -9,6 +9,7 @@
 
 use recopack_model::{Chip, Instance, Placement, Schedule};
 
+use crate::bracket::{gallop, largest_side, side_by_side, Tally};
 use crate::config::{SolverConfig, SolverStats};
 use crate::opp::{InfeasibilityProof, SolveOutcome};
 use crate::search::{Search, SearchResult};
@@ -129,52 +130,23 @@ impl<'a> FixedSchedule<'a> {
         if !self.schedule.respects_precedence(self.instance) {
             return None;
         }
-        let mut stats = SolverStats::default();
-        let mut check = |side: u64| -> Option<Option<Placement>> {
-            let candidate = self.instance.clone().with_chip(Chip::square(side));
-            let solver =
-                FixedSchedule::new(&candidate, self.schedule).with_config(self.config.clone());
-            let (outcome, s) = solver.feasible_with_stats();
-            stats.accumulate(&s);
-            match outcome {
-                SolveOutcome::Feasible(p) => Some(Some(p)),
-                SolveOutcome::Infeasible(_) => Some(None),
-                SolveOutcome::ResourceLimit(_) => None,
-            }
-        };
-        let mut lo = self
-            .instance
-            .tasks()
-            .iter()
-            .map(|t| t.width().max(t.height()))
-            .max()
-            .unwrap_or(0);
-        let mut hi = lo.max(1);
-        let best: Option<(u64, Placement)>;
-        loop {
-            match check(hi)? {
-                Some(p) => {
-                    best = Some((hi, p));
-                    break;
-                }
-                None => {
-                    lo = hi + 1;
-                    hi = hi.saturating_mul(2);
-                }
-            }
-        }
-        let (mut best_side, mut best_placement) = best.expect("loop breaks on success");
-        while lo < best_side {
-            let mid = lo + (best_side - lo) / 2;
-            match check(mid)? {
-                Some(p) => {
-                    best_side = mid;
-                    best_placement = p;
-                }
-                None => lo = mid + 1,
-            }
-        }
-        Some((best_side, best_placement, stats))
+        let mut tally = Tally::default();
+        let smallest = largest_side(self.instance);
+        // Side by side, no two modules compete for space, so any valid
+        // schedule packs there.
+        let (side, placement) = gallop(
+            smallest,
+            smallest,
+            side_by_side(self.instance),
+            Placement::bounding_square,
+            |side| {
+                let candidate = self.instance.clone().with_chip(Chip::square(side));
+                let solver =
+                    FixedSchedule::new(&candidate, self.schedule).with_config(self.config.clone());
+                tally.record(solver.feasible_with_stats())
+            },
+        )?;
+        Some((side, placement, tally.stats))
     }
 }
 

@@ -51,6 +51,7 @@
 
 pub mod beacon;
 mod bmp;
+mod bracket;
 mod config;
 mod fixeds;
 mod opp;

@@ -2,6 +2,7 @@
 
 use recopack_model::{Chip, Dim, Instance, Placement};
 
+use crate::bracket::{gallop, largest_side, side_by_side, Tally};
 use crate::config::{SolverConfig, SolverStats};
 use crate::spp::Spp;
 
@@ -16,15 +17,28 @@ pub struct ParetoPoint {
     pub placement: Placement,
 }
 
-/// Computes all Pareto-optimal (side, makespan) pairs by sweeping square
-/// chips from the smallest usable side upward and solving SPP at each, until
-/// the global time lower bound is reached.
+/// Computes all Pareto-optimal (side, makespan) pairs on square chips as a
+/// staircase: the minimal makespan `t` at the smallest usable side `s`,
+/// then, until no chip can do better, the smallest side above `s` that
+/// admits `t − 1` and the minimal makespan there.
+///
+/// The makespan never grows with the side, so the smallest side after a
+/// point `(s, t)` that admits `t − 1` is the next point of the front. It
+/// is found by probing sides `s + 1`, `s + 3`, `s + 7`, … at horizon
+/// `t − 1` (the next point is often adjacent) and then binary search; the
+/// side where all modules fit side by side meets the critical path, so it
+/// caps the probes, and every packing found moves the upper end down to
+/// its bounding square. The makespan at the new side is then searched
+/// between its lower bound and that packing's makespan. Sides in between
+/// are never solved, so the number of decisions grows with the number of
+/// front points and the logarithm of the gaps between them, not with the
+/// chip side.
 ///
 /// The instance's own chip and horizon are ignored. Apply
 /// [`Instance::without_precedence`] first to get the paper's dashed curve.
 ///
 /// Returns an empty vector for instances without tasks and `None` if any
-/// SPP solve hits the configured resource limits.
+/// decision hits the configured resource limits.
 ///
 /// # Example
 ///
@@ -49,51 +63,55 @@ pub fn pareto_front(instance: &Instance, config: &SolverConfig) -> Option<Vec<Pa
 }
 
 /// Like [`pareto_front`], additionally reporting the solver statistics
-/// accumulated over the whole sweep and the number of OPP decision problems
-/// solved along the way.
+/// accumulated over the whole staircase and the number of OPP decision
+/// problems solved along the way.
 pub fn pareto_front_with_stats(
     instance: &Instance,
     config: &SolverConfig,
 ) -> Option<(Vec<ParetoPoint>, SolverStats, u32)> {
-    let mut stats = SolverStats::default();
-    let mut decisions = 0;
+    let mut tally = Tally::default();
     if instance.task_count() == 0 {
-        return Some((Vec::new(), stats, decisions));
+        return Some((Vec::new(), tally.stats, tally.decisions));
     }
-    let h_min = instance
-        .tasks()
-        .iter()
-        .map(|t| t.width().max(t.height()))
-        .max()
-        .expect("nonempty");
     // No chip can beat the critical path or the longest task.
     let t_floor = instance
         .critical_path_length()
         .max(instance.sizes(Dim::Time).into_iter().max().unwrap_or(0));
+    let widest = side_by_side(instance);
+    let square = |side: u64| instance.clone().with_chip(Chip::square(side));
 
-    let mut front = Vec::new();
-    let mut prev_t: Option<u64> = None;
-    let mut side = h_min;
+    let side = largest_side(instance);
+    let smallest = square(side);
+    let first = Spp::new(&smallest).with_config(config.clone());
+    let (makespan, placement) = first.minimize(&mut tally, first.serial_upper_bound(), None)?;
+    let mut front = vec![ParetoPoint {
+        side,
+        makespan,
+        placement,
+    }];
     loop {
-        let candidate = instance.clone().with_chip(Chip::square(side));
-        let result = Spp::new(&candidate).with_config(config.clone()).solve()?;
-        stats.accumulate(&result.stats);
-        decisions += result.decisions;
-        let improved = prev_t.is_none_or(|p| result.makespan < p);
-        if improved {
-            front.push(ParetoPoint {
-                side,
-                makespan: result.makespan,
-                placement: result.placement,
-            });
-            prev_t = Some(result.makespan);
-        }
-        if prev_t == Some(t_floor) {
+        let last = front.last().expect("the front starts with a point");
+        if last.makespan <= t_floor {
             break;
         }
-        side += 1;
+        let goal = last.makespan - 1;
+        let (side, witness) = gallop(
+            last.side + 1,
+            2,
+            widest,
+            Placement::bounding_square,
+            |side| tally.opp(&square(side).with_horizon(goal), config),
+        )?;
+        let (makespan, placement) = Spp::new(&square(side))
+            .with_config(config.clone())
+            .minimize(&mut tally, goal, Some(witness))?;
+        front.push(ParetoPoint {
+            side,
+            makespan,
+            placement,
+        });
     }
-    Some((front, stats, decisions))
+    Some((front, tally.stats, tally.decisions))
 }
 
 #[cfg(test)]

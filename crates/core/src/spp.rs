@@ -3,8 +3,8 @@
 
 use recopack_model::{Dim, Instance, Placement};
 
+use crate::bracket::{bracket, Tally};
 use crate::config::{SolverConfig, SolverStats};
-use crate::opp::{Opp, SolveOutcome};
 
 /// Result of a makespan minimization.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,7 +20,8 @@ pub struct SppResult {
 }
 
 /// Minimizes the execution time `T` such that all tasks fit `W × H × T`
-/// (binary search; the instance's own horizon is ignored).
+/// (search between the lower bound and the serial schedule; the instance's
+/// own horizon is ignored).
 ///
 /// # Example
 ///
@@ -91,54 +92,42 @@ impl<'a> Spp<'a> {
         {
             return None;
         }
-        let mut stats = SolverStats::default();
-        let mut decisions = 0;
-        let mut check = |horizon: u64| -> Option<Option<Placement>> {
-            let candidate = self.instance.clone().with_horizon(horizon);
-            let (outcome, s) = Opp::new(&candidate)
-                .with_config(self.config.clone())
-                .solve_with_stats();
-            decisions += 1;
-            stats.accumulate(&s);
-            match outcome {
-                SolveOutcome::Feasible(p) => Some(Some(p)),
-                SolveOutcome::Infeasible(_) => Some(None),
-                SolveOutcome::ResourceLimit(_) => None,
-            }
-        };
-
-        let mut lo = self.lower_bound();
+        let mut tally = Tally::default();
         if self.instance.task_count() == 0 {
             let empty = self.instance.clone().with_horizon(0);
             return Some(SppResult {
                 makespan: 0,
                 placement: Placement::new(vec![], &empty),
-                stats,
-                decisions,
+                stats: tally.stats,
+                decisions: tally.decisions,
             });
         }
         // The serial schedule is always feasible once tasks fit spatially.
-        let mut best_t = self.serial_upper_bound();
-        let mut best_placement = match check(best_t)? {
-            Some(p) => p,
-            None => unreachable!("serial horizon always admits a packing"),
-        };
-        while lo < best_t {
-            let mid = lo + (best_t - lo) / 2;
-            match check(mid)? {
-                Some(p) => {
-                    best_t = mid;
-                    best_placement = p;
-                }
-                None => lo = mid + 1,
-            }
-        }
+        let (makespan, placement) = self.minimize(&mut tally, self.serial_upper_bound(), None)?;
         Some(SppResult {
-            makespan: best_t,
-            placement: best_placement,
-            stats,
-            decisions,
+            makespan,
+            placement,
+            stats: tally.stats,
+            decisions: tally.decisions,
         })
+    }
+
+    /// The minimal makespan, [`bracket`]ed between the lower bound and
+    /// `hi`, a horizon that admits a packing (`known`, when one is in
+    /// hand). Every packing found moves the upper end down to its makespan.
+    pub(crate) fn minimize(
+        &self,
+        tally: &mut Tally,
+        hi: u64,
+        known: Option<Placement>,
+    ) -> Option<(u64, Placement)> {
+        bracket(
+            self.lower_bound(),
+            hi,
+            known,
+            Placement::makespan,
+            |horizon| tally.opp(&self.instance.clone().with_horizon(horizon), &self.config),
+        )
     }
 }
 

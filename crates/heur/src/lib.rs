@@ -6,10 +6,10 @@
 //!
 //! The workhorse is an event-driven, precedence-aware **list scheduler**
 //! ([`list`]): tasks become ready when all predecessors have finished,
-//! ready tasks are placed bottom-left on a 2D occupancy grid ([`grid`]) in
-//! priority order, and time advances through completion events. Several
-//! priority rules plus seeded random restarts are bundled in
-//! [`find_feasible`].
+//! ready tasks are placed bottom-left in priority order by a free-space
+//! manager that tracks the running modules' rectangles ([`freespace`]), and
+//! time advances through completion events. Several priority rules plus
+//! seeded random restarts are bundled in [`find_feasible`].
 //!
 //! # Example
 //!
@@ -27,7 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod grid;
+pub mod freespace;
 pub mod list;
 
 use rand::rngs::StdRng;
@@ -87,7 +87,7 @@ pub fn find_feasible(instance: &Instance, config: &HeuristicConfig) -> Option<Pl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use recopack_model::{benchmarks, generate, Chip};
+    use recopack_model::{benchmarks, generate, Chip, Task};
 
     #[test]
     fn finds_paper_row_32x32_at_6() {
@@ -110,6 +110,23 @@ mod tests {
         let p = find_feasible(&i, &HeuristicConfig::default()).expect("feasible per Table 2");
         assert!(p.verify(&i).is_ok());
         assert!(p.makespan() <= 59);
+    }
+
+    #[test]
+    fn billion_wide_chip_is_placed_without_touching_its_area() {
+        let side = 1_000_000_000;
+        let i = Instance::builder()
+            .chip(Chip::new(side, 3))
+            .horizon(4)
+            .task(Task::new("a", 2, 2, 2))
+            .task(Task::new("b", side - 2, 3, 2))
+            .task(Task::new("c", side, 1, 2))
+            .precedence("a", "c")
+            .build()
+            .expect("valid");
+        let p = find_feasible(&i, &HeuristicConfig::default()).expect("a and b side by side");
+        assert_eq!(p.verify(&i), Ok(()));
+        assert_eq!(p.makespan(), 4);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::BTreeSet;
 
 use recopack_model::{Dim, Instance, Placement};
 
-use crate::grid::SpatialGrid;
+use crate::freespace::FreeSpace;
 
 /// Deterministic priority rules for [`list_schedule`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +59,7 @@ impl Priority {
 /// (earlier in `order` = tried first).
 ///
 /// At each event time (0 and every task completion), finished tasks release
-/// their cells, newly ready tasks (all predecessors finished) are placed
+/// their rectangles, newly ready tasks (all predecessors finished) are placed
 /// bottom-left if space permits, and time advances to the next completion.
 /// Succeeds iff everything is placed within the horizon; the result is
 /// verified before being returned, so a `Some` is always a true packing.
@@ -87,7 +87,7 @@ pub fn list_schedule(instance: &Instance, order: &[usize]) -> Option<Placement> 
         rank[t] = r;
     }
 
-    let mut grid = SpatialGrid::new(chip.width(), chip.height());
+    let mut space = FreeSpace::new(chip.width(), chip.height());
     let mut placed: Vec<Option<[u64; 3]>> = vec![None; n];
     let mut finish: Vec<u64> = vec![0; n];
     let mut unfinished_preds: Vec<usize> = (0..n)
@@ -106,7 +106,7 @@ pub fn list_schedule(instance: &Instance, order: &[usize]) -> Option<Placement> 
         running.retain(|&t| {
             if finish[t] <= now {
                 let [x, y, _] = placed[t].expect("running tasks are placed");
-                grid.release(x, y, instance.task(t).width(), instance.task(t).height());
+                space.release(x, y, instance.task(t).width(), instance.task(t).height());
                 for v in instance.precedence().successors(t).iter() {
                     unfinished_preds[v] -= 1;
                 }
@@ -125,8 +125,8 @@ pub fn list_schedule(instance: &Instance, order: &[usize]) -> Option<Placement> 
             if now + task.duration() > horizon {
                 continue;
             }
-            if let Some((x, y)) = grid.find_position(task.width(), task.height()) {
-                grid.occupy(x, y, task.width(), task.height());
+            if let Some((x, y)) = space.find_position(task.width(), task.height()) {
+                space.occupy(x, y, task.width(), task.height());
                 placed[t] = Some([x, y, now]);
                 finish[t] = now + task.duration();
                 events.insert(finish[t]);

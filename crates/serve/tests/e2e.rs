@@ -1488,3 +1488,40 @@ fn build_info_uptime_and_version_are_exposed() {
     server.shutdown();
     server.join();
 }
+
+/// Chips far larger than any module must cost what small ones do: neither
+/// the heuristics' free-space manager nor the DFF bound may allocate by
+/// chip area or side. Each job must finish with a placement that verifies,
+/// and the server must stay healthy.
+#[test]
+fn huge_chips_solve_and_leave_the_server_healthy() {
+    let server = bind_test_server(1, 4);
+    let addr = server.local_addr();
+    for text in [
+        "chip 200000 200000\nhorizon 4\ntask a 2 2 2\ntask b 2 2 2\narc a b\n",
+        "chip 1000000000 1000000000\nhorizon 4\n\
+         task a 2 2 2\ntask b 3 1 2\ntask c 1 5 1\narc a b\n",
+    ] {
+        let mut body = String::from("{\"kind\":\"opp\",\"instance\":");
+        recopack_core::telemetry::push_json_str(&mut body, text);
+        body.push('}');
+        let (status, reply) = request(addr, "POST", "/jobs", &body);
+        assert_eq!(status, 202, "submission accepted: {reply}");
+        let job = poll_job(addr, job_id(&reply), |s| s != "queued" && s != "running");
+        assert_eq!(job.get("status").and_then(Json::as_str), Some("done"));
+        assert_eq!(job.get("outcome").and_then(Json::as_str), Some("feasible"));
+        let instance = format::parse_instance(text).expect("instance parses");
+        let placement = job
+            .get("placement")
+            .and_then(Json::as_str)
+            .expect("feasible job carries a placement");
+        let placement = format::parse_placement(placement, &instance).expect("placement parses");
+        assert_eq!(placement.verify(&instance), Ok(()));
+
+        let (status, health) = get_json(addr, "/healthz");
+        assert_eq!(status, 200, "server stays healthy after a huge chip");
+        assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
+    }
+    server.shutdown();
+    server.join();
+}

@@ -3,7 +3,7 @@
 //! recorded paper-vs-measured comparison).
 
 use recopack::model::{benchmarks, Chip};
-use recopack::solver::{pareto_front, Bmp, Opp, SolverConfig, Spp};
+use recopack::solver::{pareto_front_with_stats, Bmp, Opp, SolverConfig, Spp};
 
 /// Table 1 — DE benchmark, BMP at T = 6, 13, 14: minimal square chips
 /// 32x32, 17x17, 16x16.
@@ -44,13 +44,17 @@ fn table1_sixteen_is_the_floor() {
     assert!(Opp::new(&instance).solve().is_feasible());
 }
 
-/// Figure 7(a) — Pareto points with precedence constraints (solid).
+/// Figure 7(a) — Pareto points with precedence constraints (solid). The
+/// staircase reaches them in 9 OPP decisions; SPP at every side from 16
+/// to 32 took 81.
 #[test]
 fn fig7_solid_front() {
     let instance = benchmarks::de(Chip::square(1), 1).with_transitive_closure();
-    let front = pareto_front(&instance, &SolverConfig::default()).expect("no limits");
+    let (front, _, decisions) =
+        pareto_front_with_stats(&instance, &SolverConfig::default()).expect("no limits");
     let pairs: Vec<(u64, u64)> = front.iter().map(|p| (p.side, p.makespan)).collect();
     assert_eq!(pairs, vec![(16, 14), (17, 13), (32, 6)]);
+    assert_eq!(decisions, 9);
     for p in &front {
         let target = instance
             .clone()
@@ -60,22 +64,36 @@ fn fig7_solid_front() {
     }
 }
 
-/// Figure 7(b) — Pareto points without precedence constraints (dashed).
+/// Figure 7(b) — Pareto points without precedence constraints (dashed):
+/// 13 OPP decisions, against 158 for SPP at every side from 16 to 48.
 #[test]
 fn fig7_dashed_front() {
     let instance = benchmarks::de(Chip::square(1), 1).without_precedence();
-    let front = pareto_front(&instance, &SolverConfig::default()).expect("no limits");
+    let (front, _, decisions) =
+        pareto_front_with_stats(&instance, &SolverConfig::default()).expect("no limits");
     let pairs: Vec<(u64, u64)> = front.iter().map(|p| (p.side, p.makespan)).collect();
     assert_eq!(pairs, vec![(16, 13), (17, 12), (32, 4), (48, 2)]);
+    for p in &front {
+        let target = instance
+            .clone()
+            .with_chip(Chip::square(p.side))
+            .with_horizon(p.makespan);
+        assert_eq!(p.placement.verify(&target), Ok(()));
+    }
+    assert_eq!(decisions, 13);
 }
 
-/// Table 2 — video codec: a single Pareto point, 64x64 at latency 59.
+/// Table 2 — video codec: a single Pareto point, 64x64 at latency 59. The
+/// first packing found already meets the critical path, so one OPP
+/// decision settles the front (6 with the former SPP).
 #[test]
 fn table2_video_codec_single_point() {
     let instance = benchmarks::video_codec(Chip::square(1), 1).with_transitive_closure();
-    let front = pareto_front(&instance, &SolverConfig::default()).expect("no limits");
+    let (front, _, decisions) =
+        pareto_front_with_stats(&instance, &SolverConfig::default()).expect("no limits");
     let pairs: Vec<(u64, u64)> = front.iter().map(|p| (p.side, p.makespan)).collect();
     assert_eq!(pairs, vec![(64, 59)]);
+    assert_eq!(decisions, 1);
 }
 
 /// §5.2: "there is no solution for container sizes smaller than 64x64" and
