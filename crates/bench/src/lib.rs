@@ -13,7 +13,6 @@
 
 pub use recopack_json as json;
 pub mod suite;
-pub mod trend;
 
 use recopack_core::SolverConfig;
 

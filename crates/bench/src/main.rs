@@ -6,36 +6,28 @@
 //!
 //! ```text
 //! recopack-bench [--smoke] [--only NAME] [--profile] [--out PATH]
-//!                [--label NAME] [--check BASELINE] [--tolerance PCT]
+//!                [--label NAME] [--check BASELINE]
 //!                [--sample-profile[=HZ]] [--sample-out PATH]
-//! recopack-bench --trend REPORT.json [REPORT.json ...]
 //! ```
 //!
 //! * `--smoke` — run the CI smoke subset instead of the full suite;
 //! * `--only NAME` — run a single case by name;
 //! * `--profile` — collect per-phase wall times into each case's stats;
-//! * `--out PATH` — report path (default `BENCH_PR10.json`; committing the
-//!   default-path report of a full run at the repo root is how the perf
-//!   trajectory is recorded, one snapshot per PR);
-//! * `--label NAME` — report label (default `PR10`);
+//! * `--out PATH` — report path (default `target/recopack-bench.json`);
+//! * `--label NAME` — report label (default `local`);
 //! * `--check BASELINE` — compare node counts against a previous report,
 //!   check two-thread wall-clock parity (t2 walls may sum to at most 1.5×
 //!   the t1 walls across the paired families), and exit nonzero on a
-//!   regression;
-//! * `--tolerance PCT` — allowed node-count growth in percent (default 0:
-//!   the search is deterministic, so the gate requires *exact* equality and
-//!   flags any drift in either direction);
+//!   regression. The search is deterministic, so the node-count gate
+//!   requires *exact* equality and flags any drift in either direction;
 //! * `--sample-profile[=HZ]` — run the always-on sampling profiler (default
 //!   97 Hz) across the suite and write folded stacks to `--sample-out`
 //!   (default `bench.folded`). Beacons are pure stores, so the node-count
-//!   gate holds bit-exactly with sampling enabled;
-//! * `--trend REPORT...` — instead of running anything, join the given
-//!   `BENCH_PR<N>.json` snapshots on `(instance, threads)` and print the
-//!   per-case nodes / wall-ms / nodes-per-sec trajectory as markdown,
-//!   writing the JSON form to `--out` (default `TREND.json`).
+//!   gate holds bit-exactly with sampling enabled.
 //!
 //! Node counts are deterministic per case (see the suite docs), so the gate
-//! compares them exactly; wall times are informational.
+//! compares them exactly. Wall times are single runs and informational;
+//! `perfbench/` is the benchmark of record for timing.
 
 use std::process::ExitCode;
 
@@ -43,7 +35,6 @@ use recopack_bench::json::Json;
 use recopack_bench::suite::{
     check_against_baseline, check_parallel_parity, run_suite_with, SuiteOptions,
 };
-use recopack_bench::trend::build_trend;
 use recopack_core::{Sampler, SAMPLER_DEFAULT_HZ};
 
 /// Generous ceiling for the `--check` wall-clock parity gate: summed over
@@ -58,10 +49,8 @@ struct Args {
     out: Option<String>,
     label: String,
     check: Option<String>,
-    tolerance: u64,
     sample_profile: Option<u64>,
     sample_out: String,
-    trend: Vec<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -70,12 +59,10 @@ fn parse_args() -> Result<Args, String> {
         only: None,
         profile: false,
         out: None,
-        label: "PR10".to_string(),
+        label: "local".to_string(),
         check: None,
-        tolerance: 0,
         sample_profile: None,
         sample_out: "bench.folded".to_string(),
-        trend: Vec::new(),
     };
     let mut iter = std::env::args().skip(1);
     while let Some(a) = iter.next() {
@@ -86,27 +73,14 @@ fn parse_args() -> Result<Args, String> {
             "--out" => args.out = Some(iter.next().ok_or("--out requires a path")?),
             "--label" => args.label = iter.next().ok_or("--label requires a name")?,
             "--check" => args.check = Some(iter.next().ok_or("--check requires a path")?),
-            "--tolerance" => {
-                let value = iter.next().ok_or("--tolerance requires a percentage")?;
-                args.tolerance = value
-                    .parse()
-                    .map_err(|_| format!("--tolerance expects a number, got {value:?}"))?;
-            }
             "--sample-profile" => args.sample_profile = Some(SAMPLER_DEFAULT_HZ),
             "--sample-out" => {
                 args.sample_out = iter.next().ok_or("--sample-out requires a path")?;
             }
-            "--trend" => {
-                // Everything after the flag is a report path.
-                args.trend.extend(iter.by_ref());
-                if args.trend.is_empty() {
-                    return Err("--trend requires at least one report path".to_string());
-                }
-            }
             "--help" | "-h" => {
                 return Err("usage: recopack-bench [--smoke] [--only NAME] [--profile] \
-                     [--out PATH] [--label NAME] [--check BASELINE] [--tolerance PCT] \
-                     [--sample-profile[=HZ]] [--sample-out PATH] | --trend REPORT..."
+                     [--out PATH] [--label NAME] [--check BASELINE] \
+                     [--sample-profile[=HZ]] [--sample-out PATH]"
                     .to_string());
             }
             other => match other.strip_prefix("--sample-profile=") {
@@ -126,41 +100,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// `--trend` mode: join the snapshots, print markdown, write JSON.
-fn run_trend(paths: &[String], out: &str) -> ExitCode {
-    let mut reports = Vec::with_capacity(paths.len());
-    for path in paths {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match Json::parse(&text) {
-            Ok(doc) => reports.push((path.clone(), doc)),
-            Err(e) => {
-                eprintln!("malformed report {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let trend = match build_trend(&reports) {
-        Ok(trend) => trend,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", trend.to_markdown());
-    if let Err(e) = std::fs::write(out, trend.to_json()) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("trend JSON written to {out}");
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
@@ -169,11 +108,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if !args.trend.is_empty() {
-        let out = args.out.as_deref().unwrap_or("TREND.json");
-        return run_trend(&args.trend, out);
-    }
-    let out = args.out.unwrap_or_else(|| "BENCH_PR10.json".to_string());
+    let out = args
+        .out
+        .unwrap_or_else(|| "target/recopack-bench.json".to_string());
     let sampler = args.sample_profile.map(Sampler::start);
     let report = run_suite_with(&SuiteOptions {
         smoke: args.smoke,
@@ -216,6 +153,11 @@ fn main() -> ExitCode {
             case.outcome
         );
     }
+    let parent = std::path::Path::new(&out).parent();
+    if let Err(e) = parent.map_or(Ok(()), std::fs::create_dir_all) {
+        eprintln!("cannot create the directory of {out}: {e}");
+        return ExitCode::FAILURE;
+    }
     if let Err(e) = std::fs::write(&out, report.to_json()) {
         eprintln!("cannot write {out}: {e}");
         return ExitCode::FAILURE;
@@ -239,11 +181,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let gate = check_against_baseline(&report, &baseline, args.tolerance);
-    println!(
-        "\nnode-count gate vs {baseline_path} (tolerance {}%):",
-        args.tolerance
-    );
+    let gate = check_against_baseline(&report, &baseline);
+    println!("\nexact node-count gate vs {baseline_path}:");
     for line in &gate.lines {
         println!("  {line}");
     }

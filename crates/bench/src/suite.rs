@@ -295,7 +295,7 @@ pub fn run_case_with(case: &BenchCase, profile: bool) -> SolveReport {
     }
 }
 
-/// A complete bench run: the document written to `BENCH_PR<N>.json`.
+/// A complete bench run: the document `recopack-bench` writes to `--out`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
     /// Report label (`PR2`, a git ref, ...).
@@ -306,9 +306,9 @@ pub struct BenchReport {
     pub cases: Vec<SolveReport>,
 }
 
-/// Whole-suite aggregates: the perf-trajectory numbers a repo-root
-/// `BENCH_<n>.json` snapshot carries, so run-over-run comparisons don't
-/// have to re-derive them from the per-case reports.
+/// Whole-suite aggregates, written as the report's `totals` object so
+/// run-over-run comparisons don't have to re-derive them from the per-case
+/// reports.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuiteTotals {
     /// Number of cases in the report.
@@ -480,7 +480,7 @@ pub fn run_suite_with(options: &SuiteOptions) -> BenchReport {
 pub struct GateOutcome {
     /// One human-readable comparison line per matched case.
     pub lines: Vec<String>,
-    /// Cases whose node count regressed past the tolerance.
+    /// Cases whose node count differs from the baseline.
     pub regressions: Vec<String>,
 }
 
@@ -492,22 +492,16 @@ impl GateOutcome {
 }
 
 /// Compares `current` against a parsed baseline report, flagging every case
-/// whose node count grew by more than `tolerance_percent`.
+/// whose node count differs from the baseline's.
 ///
-/// With `tolerance_percent == 0` the gate demands *exact* equality: the
-/// search is deterministic, so any node-count drift — shrinkage included —
-/// is a behavior change that must be acknowledged by refreshing the
-/// baseline, not absorbed as noise. A nonzero tolerance keeps the historical
-/// one-sided growth check for exploratory runs.
+/// The gate demands *exact* equality: the search is deterministic, so any
+/// node-count drift — shrinkage included — is a behavior change that must
+/// be acknowledged by refreshing the baseline, not absorbed as noise.
 ///
 /// Cases are joined on `(instance, command, threads)`. Cases present only
 /// on one side are reported but never fail the gate (suites are allowed to
 /// grow and shrink across PRs); wall time is informational only.
-pub fn check_against_baseline(
-    current: &BenchReport,
-    baseline: &Json,
-    tolerance_percent: u64,
-) -> GateOutcome {
+pub fn check_against_baseline(current: &BenchReport, baseline: &Json) -> GateOutcome {
     let empty = Vec::new();
     let baseline_cases = baseline
         .get("cases")
@@ -535,13 +529,7 @@ pub fn check_against_baseline(
                 case.instance, case.threads, nodes
             )),
             Some(base) => {
-                // Integer arithmetic: regression iff nodes > base * (1 + tol).
-                // At zero tolerance the comparison is exact and two-sided.
-                let regressed = if tolerance_percent == 0 {
-                    nodes != base
-                } else {
-                    nodes * 100 > base * (100 + tolerance_percent)
-                };
+                let regressed = nodes != base;
                 outcome.lines.push(format!(
                     "{} (t{}): {} nodes vs baseline {} [{}]",
                     case.instance,
@@ -551,14 +539,9 @@ pub fn check_against_baseline(
                     if regressed { "REGRESSED" } else { "ok" }
                 ));
                 if regressed {
-                    let direction = if tolerance_percent == 0 {
-                        format!("differs from baseline {base} (exact gate)")
-                    } else {
-                        format!("exceeds baseline {base} by more than {tolerance_percent}%")
-                    };
                     outcome.regressions.push(format!(
-                        "{} (t{}): {} nodes {}",
-                        case.instance, case.threads, nodes, direction
+                        "{} (t{}): {} nodes differs from baseline {base} (exact gate)",
+                        case.instance, case.threads, nodes
                     ));
                 }
             }
@@ -769,32 +752,7 @@ mod tests {
     }
 
     #[test]
-    fn gate_flags_only_regressions_beyond_tolerance() {
-        let mut report = BenchReport {
-            label: "cur".into(),
-            smoke: true,
-            cases: vec![run_case(&cases(false)[0])],
-        };
-        report.cases[0].stats.nodes = 126;
-        let baseline = Json::parse(&format!(
-            r#"{{"cases":[{{"instance":"{}","command":"{}","threads":{},"stats":{{"nodes":100}}}}]}}"#,
-            report.cases[0].instance, report.cases[0].command, report.cases[0].threads
-        ))
-        .expect("valid");
-        let gate = check_against_baseline(&report, &baseline, 25);
-        assert!(!gate.passed(), "{:?}", gate.lines);
-        report.cases[0].stats.nodes = 125;
-        let gate = check_against_baseline(&report, &baseline, 25);
-        assert!(gate.passed(), "{:?}", gate.regressions);
-        // Unknown cases are reported but never gate.
-        report.cases[0].instance = "brand_new".into();
-        let gate = check_against_baseline(&report, &baseline, 25);
-        assert!(gate.passed());
-        assert!(gate.lines[0].contains("not gated"), "{:?}", gate.lines);
-    }
-
-    #[test]
-    fn zero_tolerance_gate_is_exact_and_two_sided() {
+    fn gate_is_exact_and_two_sided() {
         let mut report = BenchReport {
             label: "cur".into(),
             smoke: true,
@@ -806,18 +764,23 @@ mod tests {
         ))
         .expect("valid");
         report.cases[0].stats.nodes = 100;
-        assert!(check_against_baseline(&report, &baseline, 0).passed());
-        // One node more *or less* than the baseline must fail at 0%.
+        assert!(check_against_baseline(&report, &baseline).passed());
+        // One node more *or less* than the baseline must fail.
         report.cases[0].stats.nodes = 101;
-        assert!(!check_against_baseline(&report, &baseline, 0).passed());
+        assert!(!check_against_baseline(&report, &baseline).passed());
         report.cases[0].stats.nodes = 99;
-        let gate = check_against_baseline(&report, &baseline, 0);
+        let gate = check_against_baseline(&report, &baseline);
         assert!(!gate.passed());
         assert!(
             gate.regressions[0].contains("exact gate"),
             "{:?}",
             gate.regressions
         );
+        // Unknown cases are reported but never gate.
+        report.cases[0].instance = "brand_new".into();
+        let gate = check_against_baseline(&report, &baseline);
+        assert!(gate.passed());
+        assert!(gate.lines[0].contains("not gated"), "{:?}", gate.lines);
     }
 
     #[test]

@@ -254,6 +254,36 @@ mod tests {
     }
 
     #[test]
+    fn capacities_past_u64_do_not_wrap() {
+        // Chip area 2^64: wrapped, the capacity would read 0 and refute.
+        let i = Instance::builder()
+            .chip(Chip::square(1 << 32))
+            .horizon(2)
+            .task(Task::new("a", 1, 1, 1))
+            .build()
+            .expect("valid");
+        assert_eq!(refute(&i), None);
+        // Capacity 2^63 is exact, but three full-chip tasks sum past u64:
+        // the saturated total must still refute.
+        let full = |name| Task::new(name, 1 << 32, 1 << 31, 1);
+        let i = Instance::builder()
+            .chip(Chip::new(1 << 32, 1 << 31))
+            .horizon(1)
+            .task(full("a"))
+            .task(full("b"))
+            .task(full("c"))
+            .build()
+            .expect("valid");
+        assert_eq!(
+            volume::refute_volume(&i),
+            Some(Refutation::Volume {
+                total: u64::MAX,
+                capacity: 1 << 63
+            })
+        );
+    }
+
+    #[test]
     fn critical_path_refutation() {
         let i = Instance::builder()
             .chip(Chip::square(8))

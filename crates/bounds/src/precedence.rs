@@ -54,11 +54,13 @@ pub fn refute_windows(instance: &Instance) -> Option<Refutation> {
 /// A task with window `[asap, alap]` and duration `d` is certainly running
 /// throughout `[alap, asap + d)` (when that interval is nonempty). Checking
 /// all `alap` values as candidate time points suffices, because the forced
-/// set only changes there.
+/// set only changes there. A chip area past `u64` keeps the bound silent
+/// rather than wrapping; the forced area saturates, which only weakens it.
 pub fn refute_energy(instance: &Instance) -> Option<Refutation> {
+    let chip = instance.chip();
+    let capacity = chip.width().checked_mul(chip.height())?;
     let (asap, alap) = start_windows(instance);
     let n = instance.task_count();
-    let capacity = instance.chip().area();
     let mut candidates: Vec<u64> = Vec::with_capacity(n);
     for l in alap.iter().flatten() {
         candidates.push(*l);
@@ -72,7 +74,8 @@ pub fn refute_energy(instance: &Instance) -> Option<Refutation> {
             let d = instance.task(i).duration();
             // forced to run at tau iff l <= tau < asap + d
             if l <= tau && tau < asap[i] + d {
-                area += instance.task(i).area();
+                let task = instance.task(i);
+                area = area.saturating_add(task.width().saturating_mul(task.height()));
             }
         }
         if area > capacity {

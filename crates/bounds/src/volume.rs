@@ -19,9 +19,13 @@ pub fn refute_fit(instance: &Instance) -> Option<Refutation> {
 }
 
 /// Refutes instances whose total task volume exceeds the container volume.
+///
+/// A container volume past `u64` keeps the bound silent rather than
+/// wrapping; the task total saturates, which only weakens the bound.
 pub fn refute_volume(instance: &Instance) -> Option<Refutation> {
+    let [w, h, t] = instance.container();
+    let capacity = w.checked_mul(h)?.checked_mul(t)?;
     let total = instance.total_volume();
-    let capacity: u64 = instance.container().iter().product();
     (total > capacity).then_some(Refutation::Volume { total, capacity })
 }
 

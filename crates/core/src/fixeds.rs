@@ -102,15 +102,17 @@ impl<'a> FixedSchedule<'a> {
 
     fn energy_refutation(&self) -> Option<recopack_bounds::Refutation> {
         let starts = self.schedule.starts();
-        let capacity = self.instance.chip().area();
-        for (i, &tau) in starts.iter().enumerate() {
-            let _ = i;
-            let area: u64 = starts
+        // Past `u64` the chip area is left unchecked rather than wrapped;
+        // the running area saturates, which only weakens the bound.
+        let chip = self.instance.chip();
+        let capacity = chip.width().checked_mul(chip.height())?;
+        for &tau in starts {
+            let area = starts
                 .iter()
                 .zip(self.instance.tasks())
                 .filter(|&(&s, t)| s <= tau && tau < s + t.duration())
-                .map(|(_, t)| t.area())
-                .sum();
+                .map(|(_, t)| t.width().saturating_mul(t.height()))
+                .fold(0, u64::saturating_add);
             if area > capacity {
                 return Some(recopack_bounds::Refutation::Energy {
                     time: tau,

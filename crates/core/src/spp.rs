@@ -71,11 +71,11 @@ impl<'a> Spp<'a> {
             .into_iter()
             .max()
             .unwrap_or(0);
-        let area = self.instance.chip().area();
-        let volume = if area == 0 {
-            0
-        } else {
-            self.instance.total_volume().div_ceil(area)
+        // A chip area past `u64` leaves the volume bound silent.
+        let chip = self.instance.chip();
+        let volume = match chip.width().checked_mul(chip.height()) {
+            Some(area) if area > 0 => self.instance.total_volume().div_ceil(area),
+            _ => 0,
         };
         critical.max(longest).max(volume)
     }

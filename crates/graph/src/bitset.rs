@@ -119,12 +119,6 @@ impl BitSet {
         s
     }
 
-    /// The capacity this set was created with.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// The backing words, low bits first — the whole padded block for
     /// inline sets (padding is zero by the tail invariant), the exact
     /// word count for heap sets. No per-call arithmetic: this is the
@@ -596,32 +590,6 @@ impl BitSet {
         rem == 0 || (a[full] & !b[full]) & ((1u64 << rem) - 1) == 0
     }
 
-    /// Masked-row kernel: whether no element of `self` *below* `limit` is
-    /// in `other` (the disjoint counterpart of
-    /// [`BitSet::is_subset_below`]).
-    #[inline]
-    pub fn is_disjoint_below(&self, other: &BitSet, limit: usize) -> bool {
-        debug_assert_eq!(self.capacity, other.capacity);
-        debug_assert!(limit <= self.capacity);
-        let (a, b) = (self.words(), other.words());
-        let (full, rem) = (limit / 64, limit % 64);
-        for (&wa, &wb) in a.iter().zip(b).take(full) {
-            if wa & wb != 0 {
-                return false;
-            }
-        }
-        rem == 0 || (a[full] & b[full]) & ((1u64 << rem) - 1) == 0
-    }
-
-    /// Whether `self` and `other` share no element.
-    #[inline]
-    pub fn is_disjoint(&self, other: &BitSet) -> bool {
-        self.words()
-            .iter()
-            .zip(other.words())
-            .all(|(a, b)| a & b == 0)
-    }
-
     /// Whether every element of `self` is in `other`.
     #[inline]
     pub fn is_subset(&self, other: &BitSet) -> bool {
@@ -992,23 +960,17 @@ mod tests {
         for limit in [0usize, 1, 2, 63, 64, 65, 100, 101, 200] {
             let subset = a.iter().take_while(|&v| v < limit).all(|v| b.contains(v));
             assert_eq!(a.is_subset_below(&b, limit), subset, "limit {limit}");
-            let disjoint = a.iter().take_while(|&v| v < limit).all(|v| !b.contains(v));
-            assert_eq!(a.is_disjoint_below(&b, limit), disjoint, "limit {limit}");
         }
     }
 
     #[test]
-    fn subset_and_disjoint() {
+    fn subset() {
         let mut a = BitSet::new(10);
         a.extend([1, 2]);
         let mut b = BitSet::new(10);
         b.extend([1, 2, 3]);
-        let mut c = BitSet::new(10);
-        c.extend([7]);
         assert!(a.is_subset(&b));
         assert!(!b.is_subset(&a));
-        assert!(a.is_disjoint(&c));
-        assert!(!a.is_disjoint(&b));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Exact maximum-weight clique and independent-set search.
+//! Exact maximum-weight clique search.
 //!
 //! The packing-class condition **C2** bounds the total width of every stable
 //! set of a component graph — equivalently, of every clique of its
@@ -233,14 +233,6 @@ fn expand(
         ws.current.remove(v);
     }
     ws.orders[depth] = order;
-}
-
-/// Finds a maximum-weight independent set (stable set) of `g`.
-///
-/// Equivalent to [`max_weight_clique`] on the complement graph; exposed
-/// directly because packing-class condition C2 is phrased over stable sets.
-pub fn max_weight_independent_set(g: &DenseGraph, weights: &[u64]) -> WeightedClique {
-    max_weight_clique(&g.complement(), weights)
 }
 
 #[cfg(test)]
@@ -481,15 +473,6 @@ mod tests {
             })
             .collect();
         assert_eq!(computed, PINNED);
-    }
-
-    #[test]
-    fn independent_set_on_path() {
-        let g = DenseGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-        let best = max_weight_independent_set(&g, &[2, 3, 3, 2]);
-        // Either {1, 3} = 5 or {0, 2} = 5 or {0, 3} = 4; best is 5.
-        assert_eq!(best.weight, 5);
-        assert!(g.is_independent_set(&best.vertices));
     }
 
     proptest! {

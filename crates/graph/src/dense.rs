@@ -15,10 +15,7 @@ use crate::BitSet;
 /// let mut g = DenseGraph::new(3);
 /// g.add_edge(0, 1);
 /// assert!(g.has_edge(1, 0));
-/// assert_eq!(g.degree(0), 1);
-/// let c = g.complement();
-/// assert!(!c.has_edge(0, 1));
-/// assert!(c.has_edge(0, 2));
+/// assert_eq!(g.edge_count(), 1);
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct DenseGraph {
@@ -96,11 +93,6 @@ impl DenseGraph {
         &self.adj[u]
     }
 
-    /// Degree of `u`.
-    pub fn degree(&self, u: usize) -> usize {
-        self.adj[u].len()
-    }
-
     /// Iterates over all edges `(u, v)` with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.n).flat_map(move |u| {
@@ -111,70 +103,12 @@ impl DenseGraph {
         })
     }
 
-    /// The complement graph (edges and non-edges exchanged).
-    pub fn complement(&self) -> DenseGraph {
-        let mut g = DenseGraph::new(self.n);
-        for v in 1..self.n {
-            for u in 0..v {
-                if !self.has_edge(u, v) {
-                    g.add_edge(u, v);
-                }
-            }
-        }
-        g
-    }
-
-    /// The subgraph induced by `verts`, with vertices relabeled by their
-    /// rank in `verts`; returns the graph and the old-vertex-per-new-vertex map.
-    pub fn induced_subgraph(&self, verts: &BitSet) -> (DenseGraph, Vec<usize>) {
-        let map: Vec<usize> = verts.iter().collect();
-        let mut g = DenseGraph::new(map.len());
-        for (i, &u) in map.iter().enumerate() {
-            for (j, &v) in map.iter().enumerate().take(i) {
-                if self.has_edge(u, v) {
-                    g.add_edge(j, i);
-                }
-            }
-        }
-        (g, map)
-    }
-
     /// Whether `set` is a clique (pairwise adjacent). Allocation-free: the
     /// solver asks this on every fixed comparability edge. Each member `u`
     /// is checked against its packed adjacency row with one masked-word
     /// sweep over the elements below `u`, instead of a per-edge loop.
     pub fn is_clique(&self, set: &BitSet) -> bool {
         set.iter().all(|u| set.is_subset_below(&self.adj[u], u))
-    }
-
-    /// Whether `set` is an independent set (pairwise non-adjacent).
-    pub fn is_independent_set(&self, set: &BitSet) -> bool {
-        set.iter().all(|u| set.is_disjoint_below(&self.adj[u], u))
-    }
-
-    /// Connected components, each as a sorted vertex list.
-    pub fn connected_components(&self) -> Vec<Vec<usize>> {
-        let mut seen = BitSet::new(self.n);
-        let mut comps = Vec::new();
-        for s in 0..self.n {
-            if seen.contains(s) {
-                continue;
-            }
-            let mut comp = Vec::new();
-            let mut stack = vec![s];
-            seen.insert(s);
-            while let Some(u) = stack.pop() {
-                comp.push(u);
-                for v in self.adj[u].iter() {
-                    if seen.insert(v) {
-                        stack.push(v);
-                    }
-                }
-            }
-            comp.sort_unstable();
-            comps.push(comp);
-        }
-        comps
     }
 }
 
@@ -189,27 +123,6 @@ impl std::fmt::Debug for DenseGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    fn random_graph(n: usize, density: f64, seed: u64) -> DenseGraph {
-        // Simple LCG so the test has no dependency on rand.
-        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as f64 / (1u64 << 31) as f64
-        };
-        let mut g = DenseGraph::new(n);
-        for v in 1..n {
-            for u in 0..v {
-                if next() < density {
-                    g.add_edge(u, v);
-                }
-            }
-        }
-        g
-    }
 
     #[test]
     fn add_remove_edges() {
@@ -223,57 +136,13 @@ mod tests {
     }
 
     #[test]
-    fn complement_of_triangle_plus_isolated() {
-        let g = DenseGraph::from_edges(4, [(0, 1), (1, 2), (0, 2)]);
-        let c = g.complement();
-        assert_eq!(c.edge_count(), 3);
-        assert!(c.has_edge(0, 3) && c.has_edge(1, 3) && c.has_edge(2, 3));
-    }
-
-    #[test]
-    fn induced_subgraph_relabels() {
-        let g = DenseGraph::from_edges(5, [(0, 2), (2, 4), (1, 3)]);
-        let verts: BitSet = {
-            let mut s = BitSet::new(5);
-            s.extend([0, 2, 4]);
-            s
-        };
-        let (sub, map) = g.induced_subgraph(&verts);
-        assert_eq!(map, vec![0, 2, 4]);
-        assert!(sub.has_edge(0, 1) && sub.has_edge(1, 2) && !sub.has_edge(0, 2));
-    }
-
-    #[test]
-    fn clique_and_independent_set_checks() {
+    fn clique_checks() {
         let g = DenseGraph::from_edges(4, [(0, 1), (1, 2), (0, 2)]);
         let mut tri = BitSet::new(4);
         tri.extend([0, 1, 2]);
         assert!(g.is_clique(&tri));
-        assert!(!g.is_independent_set(&tri));
         let mut pair = BitSet::new(4);
         pair.extend([0, 3]);
-        assert!(g.is_independent_set(&pair));
-    }
-
-    #[test]
-    fn components_of_two_paths() {
-        let g = DenseGraph::from_edges(6, [(0, 1), (1, 2), (3, 4)]);
-        let comps = g.connected_components();
-        assert_eq!(comps, vec![vec![0, 1, 2], vec![3, 4], vec![5]]);
-    }
-
-    proptest! {
-        #[test]
-        fn complement_is_involution(n in 1usize..20, seed in 0u64..50) {
-            let g = random_graph(n, 0.4, seed);
-            prop_assert_eq!(g.complement().complement(), g);
-        }
-
-        #[test]
-        fn edge_counts_partition_pairs(n in 1usize..20, seed in 0u64..50) {
-            let g = random_graph(n, 0.5, seed);
-            let c = g.complement();
-            prop_assert_eq!(g.edge_count() + c.edge_count(), n * (n - 1) / 2);
-        }
+        assert!(!g.is_clique(&pair));
     }
 }

@@ -1,4 +1,4 @@
-//! Dense small-graph algorithms used by the packing-class solver.
+//! Dense small-graph primitives used by the packing-class solver.
 //!
 //! The packing-class method of Fekete–Schepers–Köhler–Teich works on
 //! *component graphs* over the set of tasks — one vertex per task, at most a
@@ -14,42 +14,34 @@
 //! * [`DenseGraph`] — undirected graph with bitset adjacency rows;
 //! * [`PairIndex`] — triangular indexing of unordered vertex pairs, the
 //!   address space of the solver's edge-state tables;
-//! * [`lex_bfs`] — lexicographic breadth-first search;
-//! * [`chordal`] — perfect-elimination orderings, chordality,
-//!   maximal cliques of chordal graphs;
-//! * [`cliques`] — exact maximum-weight clique /
-//!   independent-set search (Bron–Kerbosch style with weight pruning);
-//! * [`induced`] — induced-`C4` detection used by the C1
-//!   pruning rule of the packing-class search.
+//! * [`cliques`] — exact maximum-weight clique search (Bron–Kerbosch style
+//!   with weight pruning), the query behind the solver's C2 rule.
+//!
+//! Condition C1 (every component graph is an interval graph) needs no
+//! recognizer here: the solver accepts a packing class constructively, by
+//! transitively orienting each complement graph (`recopack-order`) and
+//! verifying the placement laid out from those orders.
 //!
 //! # Example
 //!
 //! ```
-//! use recopack_graph::DenseGraph;
+//! use recopack_graph::{cliques, DenseGraph};
 //!
-//! // A 4-cycle is not chordal; adding a chord makes it chordal.
-//! let mut g = DenseGraph::new(4);
-//! for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
-//!     g.add_edge(u, v);
-//! }
-//! assert!(!recopack_graph::chordal::is_chordal(&g));
-//! g.add_edge(0, 2);
-//! assert!(recopack_graph::chordal::is_chordal(&g));
+//! // Edges join tasks whose projections are disjoint; such a clique must
+//! // fit side by side, so C2 compares its total width with the chip's.
+//! let g = DenseGraph::from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)]);
+//! let widest = cliques::max_weight_clique(&g, &[3, 2, 4, 8]);
+//! assert_eq!(widest.weight, 12); // {2, 3} outweighs the triangle {0, 1, 2}
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod bitset;
-pub mod chordal;
 pub mod cliques;
 mod dense;
-pub mod induced;
-mod lexbfs;
 mod pairs;
-pub mod pqtree;
 
 pub use bitset::BitSet;
 pub use dense::DenseGraph;
-pub use lexbfs::lex_bfs;
 pub use pairs::PairIndex;

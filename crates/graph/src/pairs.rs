@@ -31,11 +31,6 @@ impl PairIndex {
         Self { n }
     }
 
-    /// The number of vertices.
-    pub fn vertex_count(&self) -> usize {
-        self.n
-    }
-
     /// The number of unordered pairs, `n*(n-1)/2`.
     pub fn pair_count(&self) -> usize {
         self.n * self.n.saturating_sub(1) / 2

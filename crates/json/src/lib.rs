@@ -97,11 +97,10 @@ impl Json {
 
     /// Serializes the value back to compact JSON text.
     ///
-    /// Object members keep their source order, so a parse → edit →
-    /// serialize round trip (as done by `recopack-load` when merging its
-    /// latency section into an existing `BENCH_*.json`) preserves the
-    /// document layout. Whole numbers within `u64` range print without a
-    /// fractional part; other numbers use the shortest `f64` form.
+    /// Object members keep their source order, so a parse → serialize
+    /// round trip preserves the document layout. Whole numbers within
+    /// `u64` range print without a fractional part; other numbers use the
+    /// shortest `f64` form.
     pub fn to_json_string(&self) -> String {
         let mut out = String::new();
         self.write(&mut out);
@@ -146,16 +145,6 @@ impl Json {
                     value.write(out);
                 }
                 out.push('}');
-            }
-        }
-    }
-
-    /// Replaces (or appends) a member of an object. No-op on other kinds.
-    pub fn set(&mut self, key: &str, value: Json) {
-        if let Json::Object(members) = self {
-            match members.iter_mut().find(|(k, _)| k == key) {
-                Some((_, slot)) => *slot = value,
-                None => members.push((key.to_string(), value)),
             }
         }
     }
@@ -433,14 +422,6 @@ mod tests {
         // writer's own output shape.
         let text = r#"{"b":1,"a":[true,null],"c":"x"}"#;
         assert_eq!(Json::parse(text).expect("parses").to_json_string(), text);
-    }
-
-    #[test]
-    fn set_replaces_and_appends_members() {
-        let mut doc = Json::parse(r#"{"a":1}"#).expect("parses");
-        doc.set("a", Json::Number(2.0));
-        doc.set("b", Json::String("new".to_string()));
-        assert_eq!(doc.to_json_string(), r#"{"a":2,"b":"new"}"#);
     }
 
     #[test]

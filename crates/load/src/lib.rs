@@ -10,9 +10,8 @@
 //! hit rate the server actually observed.
 //!
 //! The [`LoadReport`] serializes into a JSON document (via
-//! `recopack-json`) that CI uploads as an artifact and optionally merges
-//! into the committed `BENCH_*.json` snapshot, so latency percentiles
-//! ride alongside the solver totals. [`check_report`] implements the
+//! `recopack-json`) that CI uploads as an artifact. [`check_report`]
+//! implements the
 //! `--check` threshold gates: zero failed requests, a minimum cache hit
 //! rate on the repeated mix, and a p99 sanity bound.
 
@@ -194,8 +193,8 @@ impl LoadReport {
         }
     }
 
-    /// The report as a JSON value (the `load` section of `BENCH_*.json`).
-    pub fn to_json_value(&self) -> Json {
+    /// The report as standalone JSON text.
+    pub fn to_json(&self) -> String {
         Json::Object(vec![
             ("schema_version".to_string(), Json::Number(1.0)),
             (
@@ -266,11 +265,7 @@ impl LoadReport {
                 ]),
             ),
         ])
-    }
-
-    /// The report as standalone JSON text.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().to_json_string()
+        .to_json_string()
     }
 }
 
@@ -328,18 +323,6 @@ pub fn check_report(report: &LoadReport, thresholds: &Thresholds) -> (Vec<String
         ),
     );
     (lines, ok)
-}
-
-/// Merges the report into an existing `BENCH_*.json` document under a
-/// top-level `load` key, preserving the rest of the document byte for
-/// byte (source order is kept by the serializer).
-pub fn merge_into_bench(bench_text: &str, report: &LoadReport) -> Result<String, String> {
-    let mut doc = Json::parse(bench_text).map_err(|e| format!("malformed bench JSON: {e}"))?;
-    if !matches!(doc, Json::Object(_)) {
-        return Err("bench JSON is not an object".to_string());
-    }
-    doc.set("load", report.to_json_value());
-    Ok(doc.to_json_string())
 }
 
 /// One keep-alive HTTP/1.1 client connection with response framing by
@@ -953,49 +936,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_preserves_the_rest_of_the_bench_document() {
-        let report = LoadReport {
-            label: "T".to_string(),
-            smoke: true,
-            clients: 1,
-            requests: 10,
-            failures: 0,
-            reconnects: 0,
-            wall_s: 0.5,
-            throughput_rps: 20.0,
-            request_latency: Percentiles::from_samples(&mut [1.0, 2.0]),
-            job_latency: Percentiles::from_samples(&mut [3.0]),
-            jobs_submitted: 4,
-            jobs_completed: 4,
-            batch_items: 0,
-            cache_hits: 3,
-            cache_misses: 1,
-            dedup_joins: 0,
-            queue_wait_mean_ms: 0.4,
-            solve_mean_ms: 2.5,
-            trace_lines: 0,
-        };
-        let bench = r#"{"schema_version":2,"label":"PR7","totals":{"nodes":5}}"#;
-        let merged = merge_into_bench(bench, &report).expect("merges");
-        let doc = Json::parse(&merged).expect("valid JSON");
-        assert_eq!(
-            doc.get("totals")
-                .and_then(|t| t.get("nodes"))
-                .and_then(Json::as_u64),
-            Some(5),
-            "solver totals survive the merge"
-        );
-        let load = doc.get("load").expect("load section");
-        assert_eq!(
-            load.get("cache")
-                .and_then(|c| c.get("hit_rate"))
-                .and_then(Json::as_f64),
-            Some(0.75)
-        );
-        assert!(merge_into_bench("[]", &report).is_err());
-    }
-
-    #[test]
     fn gates_fail_on_failures_and_low_hit_rate() {
         let mut report = LoadReport {
             label: "T".to_string(),
@@ -1066,6 +1006,12 @@ mod tests {
             doc.get("tool").and_then(Json::as_str),
             Some("recopack-load")
         );
+        let hit_rate = doc
+            .get("cache")
+            .and_then(|c| c.get("hit_rate"))
+            .and_then(Json::as_f64)
+            .expect("cache.hit_rate");
+        assert!((hit_rate - report.hit_rate()).abs() <= 5e-4, "{doc:?}");
         let phases = doc.get("server_phases").expect("server_phases section");
         assert!(
             phases

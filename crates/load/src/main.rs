@@ -5,28 +5,24 @@
 //! ```text
 //! recopack-load [--smoke] [--addr HOST:PORT] [--clients N] [--ops N]
 //!               [--seed N] [--workers N] [--label NAME] [--out PATH]
-//!               [--merge BENCH_JSON] [--check] [--min-hit-rate F]
-//!               [--max-p99-ms F]
+//!               [--check] [--min-hit-rate F] [--max-p99-ms F]
 //! ```
 //!
 //! * `--smoke` — small CI preset (4 clients × 12 ops) unless `--clients`
 //!   / `--ops` override it;
 //! * `--addr` — target an external server instead of booting one
 //!   in-process on an ephemeral port;
-//! * `--out PATH` — standalone report path (default `LOAD_PR7.json`);
-//! * `--merge PATH` — additionally merge the report into an existing
-//!   `BENCH_*.json` under a top-level `load` key;
+//! * `--out PATH` — report path (default `LOAD_PR7.json`);
 //! * `--check` — gate on zero failures, minimum cache hit rate, a p99
 //!   bound, and zero keep-alive reconnects; exits nonzero on failure.
 
 use std::process::ExitCode;
 
-use recopack_load::{check_report, merge_into_bench, run, LoadOptions, Thresholds};
+use recopack_load::{check_report, run, LoadOptions, Thresholds};
 
 struct Args {
     options: LoadOptions,
     out: String,
-    merge: Option<String>,
     check: bool,
     thresholds: Thresholds,
 }
@@ -34,7 +30,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut options = LoadOptions::default();
     let mut out = "LOAD_PR7.json".to_string();
-    let mut merge = None;
     let mut check = false;
     let mut thresholds = Thresholds::default();
     let mut explicit_clients = None;
@@ -59,7 +54,6 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => options.workers = parse_positive("--workers", &value("--workers")?)?,
             "--label" => options.label = value("--label")?,
             "--out" => out = value("--out")?,
-            "--merge" => merge = Some(value("--merge")?),
             "--check" => check = true,
             "--min-hit-rate" => {
                 let v = value("--min-hit-rate")?;
@@ -76,8 +70,8 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: recopack-load [--smoke] [--addr HOST:PORT] [--clients N] [--ops N] \
-                     [--seed N] [--workers N] [--label NAME] [--out PATH] [--merge BENCH_JSON] \
-                     [--check] [--min-hit-rate F] [--max-p99-ms F]"
+                     [--seed N] [--workers N] [--label NAME] [--out PATH] [--check] \
+                     [--min-hit-rate F] [--max-p99-ms F]"
                         .to_string(),
                 );
             }
@@ -97,7 +91,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         options,
         out,
-        merge,
         check,
         thresholds,
     })
@@ -180,29 +173,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("report written to {}", args.out);
-
-    if let Some(bench_path) = &args.merge {
-        let text = match std::fs::read_to_string(bench_path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("cannot read {bench_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match merge_into_bench(&text, &report) {
-            Ok(merged) => {
-                if let Err(e) = std::fs::write(bench_path, merged) {
-                    eprintln!("cannot write {bench_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("load section merged into {bench_path}");
-            }
-            Err(e) => {
-                eprintln!("cannot merge into {bench_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
 
     if !args.check {
         return ExitCode::SUCCESS;

@@ -119,19 +119,23 @@ impl Instance {
         [self.chip.width(), self.chip.height(), self.horizon]
     }
 
-    /// Container extent along one dimension.
-    pub fn container_size(&self, dim: Dim) -> u64 {
-        self.container()[dim.index()]
-    }
-
     /// Task extents along one dimension, indexed by task id.
     pub fn sizes(&self, dim: Dim) -> Vec<u64> {
         self.tasks.iter().map(|t| t.size(dim)).collect()
     }
 
-    /// Total space-time volume of all tasks.
+    /// Total space-time volume of all tasks, saturating at `u64::MAX`: a
+    /// saturated total understates the true one, so a volume bound that
+    /// compares it against an exact capacity stays sound.
     pub fn total_volume(&self) -> u64 {
-        self.tasks.iter().map(Task::volume).sum()
+        self.tasks
+            .iter()
+            .map(|t| {
+                t.width()
+                    .saturating_mul(t.height())
+                    .saturating_mul(t.duration())
+            })
+            .fold(0, u64::saturating_add)
     }
 
     /// Same instance with the precedence relation replaced by its transitive

@@ -62,24 +62,6 @@ impl Dag {
         }
     }
 
-    /// Builds a directed graph from an arc list.
-    ///
-    /// # Panics
-    ///
-    /// Panics on self-loops or out-of-range endpoints.
-    pub fn from_arcs(n: usize, arcs: impl IntoIterator<Item = (usize, usize)>) -> Self {
-        let mut d = Self::new(n);
-        for (u, v) in arcs {
-            d.add_arc(u, v);
-        }
-        d
-    }
-
-    /// Number of vertices.
-    pub fn vertex_count(&self) -> usize {
-        self.n
-    }
-
     /// Number of arcs.
     pub fn arc_count(&self) -> usize {
         self.arc_count
@@ -217,26 +199,6 @@ impl Dag {
         Ok(d)
     }
 
-    /// The transitive reduction: the unique minimal arc set with the same
-    /// closure (unique for DAGs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CycleError`] if the graph has a directed cycle.
-    pub fn transitive_reduction(&self) -> Result<Dag, CycleError> {
-        let closure = self.transitive_closure()?;
-        let mut d = Dag::new(self.n);
-        for (u, v) in closure.arcs() {
-            // u -> v is redundant iff some intermediate w has u -> w -> v in
-            // the closure.
-            let via = closure.succ[u].intersection(&closure.pred[v]);
-            if via.is_empty() {
-                d.add_arc(u, v);
-            }
-        }
-        Ok(d)
-    }
-
     /// Whether the arc relation is transitive (`u→w`, `w→v` implies `u→v`).
     pub fn is_transitive(&self) -> bool {
         (0..self.n).all(|u| {
@@ -256,7 +218,7 @@ impl Dag {
     ///
     /// # Panics
     ///
-    /// Panics if `weights.len() != vertex_count()`.
+    /// Panics unless `weights` holds one weight per vertex.
     pub fn critical_path(&self, weights: &[u64]) -> Result<CriticalPath, CycleError> {
         assert_eq!(weights.len(), self.n, "one weight per vertex required");
         let order = self.topological_order()?;
@@ -348,8 +310,16 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn dag(n: usize, arcs: impl IntoIterator<Item = (usize, usize)>) -> Dag {
+        let mut d = Dag::new(n);
+        for (u, v) in arcs {
+            d.add_arc(u, v);
+        }
+        d
+    }
+
     fn diamond() -> Dag {
-        Dag::from_arcs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     }
 
     #[test]
@@ -370,7 +340,7 @@ mod tests {
 
     #[test]
     fn cycle_detection_reports_cycle() {
-        let d = Dag::from_arcs(4, [(0, 1), (1, 2), (2, 0)]);
+        let d = dag(4, [(0, 1), (1, 2), (2, 0)]);
         let err = d.topological_order().expect_err("cyclic");
         assert!(err.cycle.len() >= 2);
         // every consecutive pair on the reported cycle is an arc
@@ -383,19 +353,11 @@ mod tests {
 
     #[test]
     fn closure_of_chain() {
-        let d = Dag::from_arcs(4, [(0, 1), (1, 2), (2, 3)]);
+        let d = dag(4, [(0, 1), (1, 2), (2, 3)]);
         let c = d.transitive_closure().expect("acyclic");
         assert_eq!(c.arc_count(), 6);
         assert!(c.has_arc(0, 3));
         assert!(c.is_transitive());
-    }
-
-    #[test]
-    fn reduction_of_closure_is_chain() {
-        let d = Dag::from_arcs(4, [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3), (1, 3)]);
-        let r = d.transitive_reduction().expect("acyclic");
-        let arcs: Vec<_> = r.arcs().collect();
-        assert_eq!(arcs, vec![(0, 1), (1, 2), (2, 3)]);
     }
 
     #[test]
@@ -408,7 +370,7 @@ mod tests {
 
     #[test]
     fn critical_path_ignores_isolated_light_vertices() {
-        let d = Dag::from_arcs(3, [(0, 1)]);
+        let d = dag(3, [(0, 1)]);
         let cp = d.critical_path(&[1, 1, 10]).expect("acyclic");
         assert_eq!(cp.length, 10);
         assert_eq!(cp.vertices, vec![2]);
@@ -416,7 +378,7 @@ mod tests {
 
     #[test]
     fn earliest_and_latest_starts() {
-        let d = Dag::from_arcs(3, [(0, 1), (1, 2)]);
+        let d = dag(3, [(0, 1), (1, 2)]);
         let w = [2u64, 3, 1];
         assert_eq!(d.earliest_starts(&w).expect("acyclic"), vec![0, 2, 5]);
         let latest = d.latest_starts(&w, 6).expect("acyclic");
@@ -455,14 +417,13 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
-        fn closure_is_transitive_and_reduction_roundtrips(n in 1usize..12, seed in 0u64..100) {
+        fn closure_is_transitive(n in 1usize..12, seed in 0u64..100) {
             let d = random_dag(n, 0.3, seed);
             let c = d.transitive_closure().expect("acyclic by construction");
             prop_assert!(c.is_transitive());
-            let r = d.transitive_reduction().expect("acyclic");
-            prop_assert_eq!(r.transitive_closure().expect("acyclic"), c);
-            // reduction is minimal: no smaller than any equivalent subgraph arc count
-            prop_assert!(r.arc_count() <= d.arc_count());
+            for (u, v) in d.arcs() {
+                prop_assert!(c.has_arc(u, v));
+            }
         }
 
         #[test]

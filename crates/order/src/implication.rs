@@ -4,9 +4,10 @@
 //! classes*: two edges are in the same class iff a sequence of path
 //! implications (rule D1) links their orientations, so orienting one edge of
 //! a class orients the entire class. These are Gallai's Γ-classes (up to
-//! edge direction); the solver uses them for analysis and tests, and the
-//! structure explains why a single precedence arc can cascade through the
-//! whole time dimension.
+//! edge direction). The solver never computes them — its forcing engine
+//! applies D1 edge by edge — but the structure explains why a single
+//! precedence arc can cascade through the whole time dimension, and the
+//! tests use the classes as an oracle for that engine.
 
 use recopack_graph::{DenseGraph, PairIndex};
 
@@ -82,14 +83,6 @@ pub fn path_implication_classes(g: &DenseGraph) -> Vec<Vec<(usize, usize)>> {
     by_root.into_values().collect()
 }
 
-/// The number of path-implication classes of `g`.
-///
-/// For a comparability graph this is the number of independent orientation
-/// decisions available to the D1 rule alone.
-pub fn implication_class_count(g: &DenseGraph) -> usize {
-    path_implication_classes(g).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,7 +98,7 @@ mod tests {
     #[test]
     fn p4_is_a_single_class() {
         let g = DenseGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(implication_class_count(&g), 1);
+        assert_eq!(path_implication_classes(&g).len(), 1);
     }
 
     #[test]
@@ -113,13 +106,13 @@ mod tests {
         // In C4, adjacent edges share an endpoint whose far ends are
         // non-adjacent (the diagonal), so D1 chains all four edges together.
         let g = DenseGraph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]);
-        assert_eq!(implication_class_count(&g), 1);
+        assert_eq!(path_implication_classes(&g).len(), 1);
     }
 
     #[test]
     fn disjoint_edges_are_separate_classes() {
         let g = DenseGraph::from_edges(4, [(0, 1), (2, 3)]);
-        assert_eq!(implication_class_count(&g), 2);
+        assert_eq!(path_implication_classes(&g).len(), 2);
     }
 
     #[test]

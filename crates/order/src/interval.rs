@@ -1,37 +1,16 @@
-//! Interval graphs and coordinate realization of interval orders.
+//! Coordinate realization of interval orders.
 //!
-//! Condition **C1** of packing classes demands every component graph be an
-//! interval graph. We recognize interval graphs through Gilmore–Hoffman:
-//! a graph is interval iff it is chordal **and** its complement is a
-//! comparability graph. Both halves double as solver machinery — chordality
-//! is checked by Lex-BFS, and the transitive orientation of the complement
-//! *is* the interval order from which coordinates are laid out.
+//! In each dimension the packing-class solver fixes which task pairs must
+//! have disjoint projections — the comparability graph, the complement of
+//! the component graph — and orients those pairs transitively with
+//! [`transitively_orient_extending`](crate::orientation::transitively_orient_extending).
+//! A transitive orientation of a co-interval graph is an interval order;
+//! [`realize_from_order`] lays it out as coordinates by longest weighted
+//! chains. Condition **C1** is thereby accepted constructively: the solver
+//! verifies the placement it lays out instead of recognizing interval
+//! graphs.
 
-use recopack_graph::{chordal, DenseGraph};
-
-use crate::orientation::{self, OrientError};
 use crate::Dag;
-
-/// Whether `g` is an interval graph.
-///
-/// Uses the Gilmore–Hoffman characterization: chordal and co-comparability.
-///
-/// # Example
-///
-/// ```
-/// use recopack_graph::DenseGraph;
-/// use recopack_order::interval::is_interval_graph;
-///
-/// // C4 is not interval (not chordal) ...
-/// let c4 = DenseGraph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]);
-/// assert!(!is_interval_graph(&c4));
-/// // ... while any path is.
-/// let p4 = DenseGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-/// assert!(is_interval_graph(&p4));
-/// ```
-pub fn is_interval_graph(g: &DenseGraph) -> bool {
-    chordal::is_chordal(g) && orientation::is_comparability_graph(&g.complement())
-}
 
 /// A realization of an interval order as concrete coordinates.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,114 +53,12 @@ pub fn realize_from_order(order: &Dag, lengths: &[u64]) -> Realization {
     }
 }
 
-/// Realizes a component graph as intervals, honoring seed arcs in the
-/// complement (precedence: "u's interval entirely before v's").
-///
-/// `g` is the *overlap* (component) graph: vertices whose intervals must be
-/// disjoint are exactly the non-edges. The function transitively orients the
-/// complement extending `seed`, then lays out coordinates greedily.
-///
-/// Note that edges of `g` are **allowed but not forced** to overlap in the
-/// output; the packing-class solver only needs comparable pairs to be
-/// disjoint (condition C3 picks the separating dimension per pair).
-///
-/// # Errors
-///
-/// Propagates [`OrientError`] when the complement has no transitive
-/// orientation extending `seed`.
-pub fn realize_component_graph(
-    g: &DenseGraph,
-    lengths: &[u64],
-    seed: impl IntoIterator<Item = (usize, usize)>,
-) -> Result<Realization, OrientError> {
-    let comp = g.complement();
-    let order = orientation::transitively_orient_extending(&comp, seed)?;
-    Ok(realize_from_order(&order, lengths))
-}
-
-/// An explicit interval model of an interval graph: vertex `v` occupies
-/// `[starts[v], ends[v])` and two vertices are adjacent iff their intervals
-/// overlap.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IntervalRepresentation {
-    /// Inclusive interval start per vertex.
-    pub starts: Vec<u64>,
-    /// Exclusive interval end per vertex.
-    pub ends: Vec<u64>,
-}
-
-/// Builds an explicit interval representation of `g` via Fulkerson–Gross:
-/// enumerate the maximal cliques (chordality), order them consecutively with
-/// a PQ-tree (each vertex's cliques must form a contiguous block), and give
-/// each vertex the clique-index range it appears in.
-///
-/// Returns `None` iff `g` is not an interval graph — which makes this an
-/// independent second recognizer beside the Gilmore–Hoffman test in
-/// [`is_interval_graph`] (chordal + co-comparability); the two are
-/// cross-validated in tests.
-///
-/// The returned representation is verified against `g`'s edges before being
-/// returned, so a `Some` is always a correct model.
-pub fn interval_representation(g: &DenseGraph) -> Option<IntervalRepresentation> {
-    let n = g.vertex_count();
-    if n == 0 {
-        return Some(IntervalRepresentation {
-            starts: vec![],
-            ends: vec![],
-        });
-    }
-    let cliques = chordal::maximal_cliques_chordal(g)?;
-    let k = cliques.len();
-    // Universe = cliques; one set per vertex: the cliques containing it.
-    let sets: Vec<Vec<usize>> = (0..n)
-        .map(|v| {
-            (0..k)
-                .filter(|&c| cliques[c].contains(v))
-                .collect::<Vec<usize>>()
-        })
-        .collect();
-    let order = recopack_graph::pqtree::consecutive_ones(k, &sets)?;
-    let mut rank = vec![0usize; k];
-    for (i, &c) in order.iter().enumerate() {
-        rank[c] = i;
-    }
-    let mut starts = vec![0u64; n];
-    let mut ends = vec![0u64; n];
-    for v in 0..n {
-        debug_assert!(!sets[v].is_empty(), "every vertex is in a maximal clique");
-        starts[v] = sets[v].iter().map(|&c| rank[c] as u64).min()?;
-        ends[v] = sets[v].iter().map(|&c| rank[c] as u64 + 1).max()?;
-    }
-    // Verify the model reproduces g exactly.
-    for v in 0..n {
-        for u in 0..v {
-            let overlap = starts[u] < ends[v] && starts[v] < ends[u];
-            if overlap != g.has_edge(u, v) {
-                return None;
-            }
-        }
-    }
-    Some(IntervalRepresentation { starts, ends })
-}
-
-/// The maximum total weight of a clique of the complement of `g` — i.e. of a
-/// stable set of `g` — computed via an interval order.
-///
-/// For comparability complements this equals the longest weighted chain of
-/// any transitive orientation, which is exactly the quantity bounded by
-/// packing-class condition **C2**. Returns `None` when the complement is not
-/// a comparability graph.
-pub fn max_stable_set_weight_via_order(g: &DenseGraph, weights: &[u64]) -> Option<u64> {
-    let comp = g.complement();
-    let order = orientation::transitively_orient(&comp)?;
-    Some(realize_from_order(&order, weights).extent)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::orientation::transitively_orient_extending;
     use proptest::prelude::*;
-    use recopack_graph::cliques;
+    use recopack_graph::DenseGraph;
 
     fn random_intervals(n: usize, seed: u64) -> (Vec<u64>, Vec<u64>) {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(17);
@@ -196,14 +73,19 @@ mod tests {
         (starts, lengths)
     }
 
-    fn overlap_graph(starts: &[u64], lengths: &[u64]) -> DenseGraph {
+    /// Whether interval `u` ends no later than interval `v` starts.
+    fn before(starts: &[u64], lengths: &[u64], u: usize, v: usize) -> bool {
+        starts[u] + lengths[u] <= starts[v]
+    }
+
+    /// The comparability graph of the intervals: an edge joins every pair
+    /// whose intervals are disjoint.
+    fn disjointness_graph(starts: &[u64], lengths: &[u64]) -> DenseGraph {
         let n = starts.len();
         let mut g = DenseGraph::new(n);
         for v in 1..n {
             for u in 0..v {
-                let (su, eu) = (starts[u], starts[u] + lengths[u]);
-                let (sv, ev) = (starts[v], starts[v] + lengths[v]);
-                if su < ev && sv < eu {
+                if before(starts, lengths, u, v) || before(starts, lengths, v, u) {
                     g.add_edge(u, v);
                 }
             }
@@ -212,24 +94,11 @@ mod tests {
     }
 
     #[test]
-    fn known_interval_and_non_interval_graphs() {
-        // The "net" and C4 are not interval; paths, cliques, and caterpillars are.
-        let c4 = DenseGraph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]);
-        assert!(!is_interval_graph(&c4));
-        // Asteroidal triple: subdivided star (spider) K1,3 with each leg
-        // length 2 is chordal but not interval.
-        let spider = DenseGraph::from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]);
-        assert!(chordal::is_chordal(&spider));
-        assert!(!is_interval_graph(&spider));
-        let p5 = DenseGraph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]);
-        assert!(is_interval_graph(&p5));
-    }
-
-    #[test]
     fn realization_respects_order() {
-        let g = DenseGraph::from_edges(3, [(0, 1), (1, 2)]); // 0,2 disjoint
-        let r = realize_component_graph(&g, &[3, 3, 3], []).expect("interval graph");
-        // comparable pair (0,2): intervals must be disjoint
+        // Overlaps 0-1 and 1-2 leave {0, 2} as the one disjoint pair.
+        let comp = DenseGraph::from_edges(3, [(0, 2)]);
+        let order = transitively_orient_extending(&comp, []).expect("one edge orients");
+        let r = realize_from_order(&order, &[3, 3, 3]);
         let (a, b) = if r.order.has_arc(0, 2) {
             (0, 2)
         } else {
@@ -241,236 +110,65 @@ mod tests {
 
     #[test]
     fn seeded_realization_orders_as_demanded() {
-        let g = DenseGraph::new(3); // all pairs disjoint: chain
-        let r = realize_component_graph(&g, &[2, 2, 2], [(2, 1), (1, 0)])
+        // All pairs disjoint: the comparability graph is a triangle.
+        let comp = DenseGraph::from_edges(3, [(0, 1), (1, 2), (0, 2)]);
+        let order = transitively_orient_extending(&comp, [(2, 1), (1, 0)])
             .expect("total order is transitive");
+        let r = realize_from_order(&order, &[2, 2, 2]);
         assert!(r.starts[2] + 2 <= r.starts[1]);
         assert!(r.starts[1] + 2 <= r.starts[0]);
         assert_eq!(r.extent, 6);
-    }
-
-    #[test]
-    fn stable_set_weight_matches_clique_search() {
-        let g = DenseGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-        let w = [2u64, 3, 3, 2];
-        let via_order = max_stable_set_weight_via_order(&g, &w).expect("interval");
-        let direct = cliques::max_weight_independent_set(&g, &w).weight;
-        assert_eq!(via_order, direct);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
-        fn overlap_graphs_of_real_intervals_are_interval(n in 1usize..9, seed in 0u64..100) {
-            let (starts, lengths) = random_intervals(n, seed);
-            let g = overlap_graph(&starts, &lengths);
-            prop_assert!(is_interval_graph(&g));
-        }
-
-        #[test]
         fn realization_separates_all_comparable_pairs(n in 1usize..9, seed in 0u64..100) {
             let (starts, lengths) = random_intervals(n, seed);
-            let g = overlap_graph(&starts, &lengths);
-            let r = realize_component_graph(&g, &lengths, []).expect("interval graph");
-            for v in 0..n {
-                for u in 0..v {
-                    if !g.has_edge(u, v) {
-                        // non-edge: realized intervals must be disjoint
-                        let (su, eu) = (r.starts[u], r.starts[u] + lengths[u]);
-                        let (sv, ev) = (r.starts[v], r.starts[v] + lengths[v]);
-                        prop_assert!(eu <= sv || ev <= su);
-                    }
-                }
+            let comp = disjointness_graph(&starts, &lengths);
+            let order = transitively_orient_extending(&comp, [])
+                .expect("disjointness graphs of intervals orient");
+            let r = realize_from_order(&order, &lengths);
+            for (u, v) in comp.edges() {
+                // Comparable pair: realized intervals must be disjoint.
+                let (su, eu) = (r.starts[u], r.starts[u] + lengths[u]);
+                let (sv, ev) = (r.starts[v], r.starts[v] + lengths[v]);
+                prop_assert!(eu <= sv || ev <= su);
             }
         }
-
-        #[test]
-        fn extent_never_exceeds_original_packing(n in 1usize..9, seed in 0u64..100) {
-            // The greedy layout over any transitive orientation achieves the
-            // longest-chain bound, which the original layout also attains or
-            // exceeds.
-            let (starts, lengths) = random_intervals(n, seed);
-            let g = overlap_graph(&starts, &lengths);
-            let orig_extent = starts.iter().zip(&lengths).map(|(s, l)| s + l).max().unwrap_or(0);
-            let stable = max_stable_set_weight_via_order(&g, &lengths).expect("interval");
-            prop_assert!(stable <= orig_extent);
-        }
-    }
-}
-
-#[cfg(test)]
-mod representation_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn random_graph(n: usize, density: f64, seed: u64) -> DenseGraph {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(5);
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as f64 / (1u64 << 31) as f64
-        };
-        let mut g = DenseGraph::new(n);
-        for v in 1..n {
-            for u in 0..v {
-                if next() < density {
-                    g.add_edge(u, v);
-                }
-            }
-        }
-        g
-    }
-
-    #[test]
-    fn path_gets_a_staircase_model() {
-        let g = DenseGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-        let model = interval_representation(&g).expect("paths are interval");
-        for v in 0..4 {
-            assert!(model.starts[v] < model.ends[v]);
-        }
-    }
-
-    #[test]
-    fn non_interval_graphs_get_none() {
-        let c4 = DenseGraph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]);
-        assert_eq!(interval_representation(&c4), None);
-        // Chordal but not interval (asteroidal triple): the 2-subdivided star.
-        let spider = DenseGraph::from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]);
-        assert_eq!(interval_representation(&spider), None);
-    }
-
-    #[test]
-    fn empty_and_singleton() {
-        assert!(interval_representation(&DenseGraph::new(0)).is_some());
-        let one = DenseGraph::new(1);
-        let model = interval_representation(&one).expect("singleton");
-        assert_eq!(model.starts.len(), 1);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
-
-        /// The two recognizers (Gilmore–Hoffman vs Fulkerson–Gross/PQ-tree)
-        /// must agree on every graph.
-        #[test]
-        fn recognizers_agree(n in 1usize..11, seed in 0u64..300, d in 0.1f64..0.95) {
-            let g = random_graph(n, d, seed);
-            let gh = is_interval_graph(&g);
-            let fg = interval_representation(&g).is_some();
-            prop_assert_eq!(gh, fg, "disagreement on {:?}", g);
-        }
-
-        /// Overlap graphs of actual intervals always get a model back, and
-        /// the model reproduces the graph (checked inside the function, but
-        /// assert the Some here).
-        #[test]
-        fn real_interval_graphs_get_models(n in 1usize..10, seed in 0u64..100) {
-            let mut state = seed.wrapping_mul(77).wrapping_add(1);
-            let mut next = |m: u64| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (state >> 33) % m
-            };
-            let starts: Vec<u64> = (0..n).map(|_| next(20)).collect();
-            let lengths: Vec<u64> = (0..n).map(|_| 1 + next(8)).collect();
-            let mut g = DenseGraph::new(n);
-            for v in 1..n {
-                for u in 0..v {
-                    if starts[u] < starts[v] + lengths[v] && starts[v] < starts[u] + lengths[u] {
-                        g.add_edge(u, v);
-                    }
-                }
-            }
-            prop_assert!(interval_representation(&g).is_some());
-        }
-    }
-}
-
-/// A canonical transitive orientation of the *complement* of an interval
-/// graph, read off the Fulkerson–Gross interval model: `u → v` iff `u`'s
-/// interval lies entirely before `v`'s.
-///
-/// This is the PQ-tree route to the same object that
-/// [`orientation::transitively_orient`] produces by Gallai forcing on the
-/// complement; the two independent constructions cross-validate each other
-/// in tests. Returns `None` iff `g` is not an interval graph.
-pub fn canonical_complement_orientation(g: &DenseGraph) -> Option<Dag> {
-    let model = interval_representation(g)?;
-    let n = g.vertex_count();
-    let mut dag = Dag::new(n);
-    for v in 0..n {
-        for u in 0..v {
-            if g.has_edge(u, v) {
-                continue;
-            }
-            // Disjoint intervals: order by position.
-            if model.ends[u] <= model.starts[v] {
-                dag.add_arc(u, v);
-            } else {
-                debug_assert!(model.ends[v] <= model.starts[u]);
-                dag.add_arc(v, u);
-            }
-        }
-    }
-    debug_assert!(dag.is_transitive(), "interval orders are transitive");
-    Some(dag)
-}
-
-#[cfg(test)]
-mod canonical_orientation_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn random_interval_graph(n: usize, seed: u64) -> DenseGraph {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(3);
-        let mut next = |m: u64| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 33) % m
-        };
-        let starts: Vec<u64> = (0..n).map(|_| next(16)).collect();
-        let lengths: Vec<u64> = (0..n).map(|_| 1 + next(6)).collect();
-        let mut g = DenseGraph::new(n);
-        for v in 1..n {
-            for u in 0..v {
-                if starts[u] < starts[v] + lengths[v] && starts[v] < starts[u] + lengths[u] {
-                    g.add_edge(u, v);
-                }
-            }
-        }
-        g
-    }
-
-    #[test]
-    fn non_interval_graph_gets_none() {
-        let c4 = DenseGraph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]);
-        assert_eq!(canonical_complement_orientation(&c4), None);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The PQ-tree route and the Gallai-forcing route must both succeed
-        /// on interval graphs and both produce valid transitive
-        /// orientations of the complement (not necessarily the same one).
+        /// The forcing engine against an orientation built without it: the
+        /// generator's own interval order, `u → v` iff `u` ends before `v`
+        /// starts.
         #[test]
         fn agrees_with_forcing_engine(n in 1usize..10, seed in 0u64..150) {
-            let g = random_interval_graph(n, seed);
-            let via_pq = canonical_complement_orientation(&g)
-                .expect("overlap graphs of intervals are interval graphs");
-            let comp = g.complement();
-            prop_assert!(via_pq.is_transitive());
-            prop_assert!(via_pq.is_acyclic());
-            prop_assert_eq!(via_pq.arc_count(), comp.edge_count());
-            let via_forcing = orientation::transitively_orient(&comp)
-                .expect("complement of an interval graph is a comparability graph");
-            prop_assert_eq!(via_forcing.arc_count(), comp.edge_count());
-            // Both yield the same longest-chain extents for any weights
-            // (chains = cliques of the complement, orientation-independent).
-            let weights: Vec<u64> = (0..n as u64).map(|v| 1 + v % 5).collect();
-            let a = realize_from_order(&via_pq, &weights).extent;
-            let b = realize_from_order(&via_forcing, &weights).extent;
-            prop_assert_eq!(a, b);
+            let (starts, lengths) = random_intervals(n, seed);
+            let comp = disjointness_graph(&starts, &lengths);
+            let mut reference = Dag::new(n);
+            for (u, v) in comp.edges() {
+                if before(&starts, &lengths, u, v) {
+                    reference.add_arc(u, v);
+                } else {
+                    reference.add_arc(v, u);
+                }
+            }
+            prop_assert!(reference.is_transitive());
+            let forced = transitively_orient_extending(&comp, [])
+                .expect("disjointness graphs of intervals orient");
+            prop_assert_eq!(forced.arc_count(), reference.arc_count());
+            // Chains are cliques of `comp` whichever way it is oriented, so
+            // both orders realize the same longest chain; the original
+            // layout realizes the reference, so neither can exceed it.
+            let original = starts.iter().zip(&lengths).map(|(s, l)| s + l).max().unwrap_or(0);
+            let via_reference = realize_from_order(&reference, &lengths).extent;
+            let via_forcing = realize_from_order(&forced, &lengths).extent;
+            prop_assert_eq!(via_reference, via_forcing);
+            prop_assert!(via_reference <= original);
         }
     }
 }

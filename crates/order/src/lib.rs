@@ -11,31 +11,31 @@
 //! This crate provides:
 //!
 //! * [`Dag`] — directed acyclic graphs with topological sort, transitive
-//!   closure/reduction and weighted critical paths (the dependency-graph
-//!   substrate);
+//!   closure and weighted critical paths (the dependency-graph substrate);
 //! * [`orientation`] — the forcing engine: orient a comparability graph
-//!   transitively, optionally extending a given partial order
-//!   (Korte–Möhring's problem, solved by D1/D2 closure plus backtracking);
+//!   transitively, extending a given partial order (Korte–Möhring's
+//!   problem, solved by D1/D2 closure plus backtracking);
+//! * [`interval`] — coordinate realization of the resulting interval
+//!   orders by longest weighted chains;
 //! * [`implication`] — Gallai path-implication classes of a comparability
-//!   graph (the paper's §4.3 partition);
-//! * [`interval`] — interval-graph recognition (chordal + co-comparability,
-//!   Gilmore–Hoffman) and coordinate realization of interval orders by
-//!   longest weighted chains.
+//!   graph (the paper's §4.3 partition), the oracle the forcing engine is
+//!   tested against.
 //!
-//! # Example: orienting a complement into coordinates
+//! # Example: orienting a comparability graph into coordinates
 //!
 //! ```
 //! use recopack_graph::DenseGraph;
 //! use recopack_order::{interval, orientation};
 //!
 //! // Three unit intervals where 0 overlaps 1 and 1 overlaps 2, but 0 and 2
-//! // are disjoint: component graph is the path 0-1-2.
-//! let g = DenseGraph::from_edges(3, [(0, 1), (1, 2)]);
-//! assert!(interval::is_interval_graph(&g));
-//!
-//! let comp = g.complement(); // single comparability edge {0, 2}
-//! let order = orientation::transitively_orient(&comp).expect("path complement orients");
-//! assert_eq!(order.arc_count(), 1);
+//! // are disjoint: the comparability graph is the single edge {0, 2}, and
+//! // the precedence arc 2 → 0 seeds its orientation.
+//! let comp = DenseGraph::from_edges(3, [(0, 2)]);
+//! let order = orientation::transitively_orient_extending(&comp, [(2, 0)])?;
+//! let layout = interval::realize_from_order(&order, &[1, 1, 1]);
+//! assert_eq!(layout.starts, [1, 0, 0]);
+//! assert_eq!(layout.extent, 2);
+//! # Ok::<(), recopack_order::orientation::OrientError>(())
 //! ```
 
 #![forbid(unsafe_code)]

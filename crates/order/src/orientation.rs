@@ -249,28 +249,6 @@ pub fn transitively_orient_extending(
     Ok(dag)
 }
 
-/// Finds any transitive orientation of `g`, or `None` if `g` is not a
-/// comparability graph.
-///
-/// # Example
-///
-/// ```
-/// use recopack_graph::DenseGraph;
-/// use recopack_order::orientation::transitively_orient;
-///
-/// // C5 is the smallest non-comparability graph.
-/// let c5 = DenseGraph::from_edges(5, (0..5).map(|i| (i, (i + 1) % 5)));
-/// assert!(transitively_orient(&c5).is_none());
-/// ```
-pub fn transitively_orient(g: &DenseGraph) -> Option<Dag> {
-    transitively_orient_extending(g, []).ok()
-}
-
-/// Whether `g` is a comparability graph (admits a transitive orientation).
-pub fn is_comparability_graph(g: &DenseGraph) -> bool {
-    transitively_orient(g).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,6 +256,11 @@ mod tests {
 
     fn cycle(n: usize) -> DenseGraph {
         DenseGraph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n)))
+    }
+
+    /// Whether `g` is a comparability graph, by the engine with no seeds.
+    fn orients(g: &DenseGraph) -> bool {
+        transitively_orient_extending(g, []).is_ok()
     }
 
     /// Brute force: try all 2^m orientations.
@@ -327,10 +310,10 @@ mod tests {
 
     #[test]
     fn even_cycles_orient_odd_cycles_do_not() {
-        assert!(is_comparability_graph(&cycle(4)));
-        assert!(is_comparability_graph(&cycle(6)));
-        assert!(!is_comparability_graph(&cycle(5)));
-        assert!(!is_comparability_graph(&cycle(7)));
+        assert!(orients(&cycle(4)));
+        assert!(orients(&cycle(6)));
+        assert!(!orients(&cycle(5)));
+        assert!(!orients(&cycle(7)));
     }
 
     #[test]
@@ -341,9 +324,9 @@ mod tests {
                 k4.add_edge(u, v);
             }
         }
-        assert!(is_comparability_graph(&k4));
-        assert!(is_comparability_graph(&DenseGraph::new(5)));
-        assert!(is_comparability_graph(&DenseGraph::new(0)));
+        assert!(orients(&k4));
+        assert!(orients(&DenseGraph::new(5)));
+        assert!(orients(&DenseGraph::new(0)));
     }
 
     #[test]
@@ -399,7 +382,7 @@ mod tests {
     #[test]
     fn orientation_contains_all_edges_exactly_once() {
         let g = DenseGraph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]);
-        if let Some(dag) = transitively_orient(&g) {
+        if let Ok(dag) = transitively_orient_extending(&g, []) {
             assert_eq!(dag.arc_count(), g.edge_count());
             for (u, v) in g.edges() {
                 assert!(dag.has_arc(u, v) ^ dag.has_arc(v, u));
@@ -414,7 +397,7 @@ mod tests {
         fn matches_brute_force(n in 1usize..7, seed in 0u64..200, d in 0.2f64..0.9) {
             let g = random_graph(n, d, seed);
             prop_assume!(g.edge_count() <= 16);
-            prop_assert_eq!(is_comparability_graph(&g), orient_brute(&g, &[]));
+            prop_assert_eq!(orients(&g), orient_brute(&g, &[]));
         }
 
         #[test]
@@ -429,7 +412,7 @@ mod tests {
         #[test]
         fn produced_orientation_is_valid(n in 1usize..8, seed in 0u64..100) {
             let g = random_graph(n, 0.4, seed);
-            if let Some(dag) = transitively_orient(&g) {
+            if let Ok(dag) = transitively_orient_extending(&g, []) {
                 prop_assert!(dag.is_transitive());
                 prop_assert!(dag.is_acyclic());
                 prop_assert_eq!(dag.arc_count(), g.edge_count());

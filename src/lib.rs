@@ -21,8 +21,9 @@
 //!   instances early;
 //! * [`baseline`] — a naive geometric branch-and-bound placer, the
 //!   comparison point the paper argues against;
-//! * [`graph`] / [`order`] — the graph-theoretic substrates (chordality,
-//!   cliques, comparability graphs, transitive orientation, interval orders).
+//! * [`graph`] / [`order`] — the graph-theoretic substrates (bitsets,
+//!   weighted cliques, DAGs, transitive orientation by Gallai forcing,
+//!   coordinate realization of interval orders).
 //!
 //! # Quickstart
 //!

@@ -25,6 +25,21 @@ proptest! {
         prop_assert_eq!(refute(&instance), None);
     }
 
+    /// The same soundness past `u64` capacities: on a chip whose area (and
+    /// volume) overflows `u64` the witness still verifies, so no bound may
+    /// refute the instance and OPP must find it feasible.
+    #[test]
+    fn bounds_never_refute_witnessed_instances_on_huge_chips(seed in 0u64..10_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (instance, witness) = random_feasible_instance(&GeneratorConfig::default(), &mut rng);
+        for chip in [Chip::new(1 << 32, 1 << 32), Chip::new(1 << 40, 1 << 24)] {
+            let huge = instance.clone().with_chip(chip);
+            prop_assert_eq!(witness.verify(&huge), Ok(()));
+            prop_assert_eq!(refute(&huge), None);
+            prop_assert!(Opp::new(&huge).solve().is_feasible(), "{:?}", chip);
+        }
+    }
+
     /// Soundness of stage 2: every heuristic success verifies geometrically.
     #[test]
     fn heuristics_only_return_verified_packings(seed in 0u64..10_000) {
