@@ -172,13 +172,56 @@ pub fn stock_dffs(capacity: u64, sizes: &[u64]) -> Vec<IntegerDff> {
     dffs
 }
 
-/// One dimension's stock DFFs, each with its value for every task (indexed
-/// by task id), so the combination loop only multiplies and adds.
-fn evaluated_stock(capacity: u64, sizes: &[u64]) -> Vec<(IntegerDff, Vec<u64>)> {
-    stock_dffs(capacity, sizes)
-        .into_iter()
-        .map(|dff| (dff, sizes.iter().map(|&s| dff.value(s)).collect()))
-        .collect()
+/// One dimension's stock DFFs that no earlier stock DFF dominates, with
+/// their values at every task size in one flat buffer.
+struct Evaluated {
+    dffs: Vec<IntegerDff>,
+    /// Row `j` (of length `tasks`) holds `dffs[j]`'s value for each task id.
+    values: Vec<u64>,
+    tasks: usize,
+}
+
+impl Evaluated {
+    /// Evaluates the stock DFFs at `sizes`, dropping each one an earlier
+    /// kept one dominates. `sizes` must be nonempty.
+    fn new(capacity: u64, sizes: &[u64]) -> Self {
+        let tasks = sizes.len();
+        let mut dffs: Vec<IntegerDff> = Vec::new();
+        let mut values = Vec::new();
+        for dff in stock_dffs(capacity, sizes) {
+            let row = values.len();
+            values.extend(sizes.iter().map(|&s| dff.value(s)));
+            let (kept, new) = values.split_at(row);
+            if dffs
+                .iter()
+                .zip(kept.chunks_exact(tasks))
+                .any(|(earlier, old)| dominates((earlier, old), (&dff, new)))
+            {
+                values.truncate(row);
+            } else {
+                dffs.push(dff);
+            }
+        }
+        Self {
+            dffs,
+            values,
+            tasks,
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&IntegerDff, &[u64])> {
+        self.dffs.iter().zip(self.values.chunks_exact(self.tasks))
+    }
+}
+
+/// Whether DFF `a` rescales every task at least as much as DFF `b`, as a
+/// share of the container: `va / Da ≥ vb / Db` at each task, compared
+/// exactly as `va · Db ≥ vb · Da`.
+fn dominates(a: (&IntegerDff, &[u64]), b: (&IntegerDff, &[u64])) -> bool {
+    let (da, db) = (u128::from(a.0.denominator()), u128::from(b.0.denominator()));
+    a.1.iter()
+        .zip(b.1)
+        .all(|(&va, &vb)| u128::from(va) * db >= u128::from(vb) * da)
 }
 
 /// Whether [`refute_dff`]'s arithmetic is exact for `tasks` tasks that fit
@@ -197,41 +240,41 @@ fn exact_range(container: [u64; 3], tasks: usize) -> bool {
 /// Tries combinations of stock DFFs over the three dimensions; returns a
 /// refutation if any combination pushes the rescaled volume over capacity.
 ///
-/// The combination space is capped (identity in at least one dimension is
-/// always included) to keep this a fast filter; the search behind it is
-/// exact regardless.
+/// Combinations are tried in lexicographic `(x, y, t)` order of the stock
+/// lists, and the first refuting one is returned. A DFF that an earlier one
+/// of its dimension dominates at every task is skipped: the rescaled volume
+/// grows with each factor, so swapping in the dominator refutes too, at an
+/// earlier combination. The first refuting combination therefore never
+/// uses a skipped DFF, and skipping leaves the answer unchanged.
 pub fn refute_dff(instance: &Instance) -> Option<Refutation> {
     let container = instance.container();
-    // Degenerate containers and oversized tasks are the fit bound's. Past
-    // the exact range the sums below could wrap, and the bound stays silent
-    // rather than risk an unsound refutation.
-    if container.contains(&0)
+    // An empty instance has nothing to refute; degenerate containers and
+    // oversized tasks are the fit bound's. Past the exact range the sums
+    // below could wrap, and the bound stays silent rather than risk an
+    // unsound refutation.
+    if instance.task_count() == 0
+        || container.contains(&0)
         || !exact_range(container, instance.task_count())
         || crate::volume::refute_fit(instance).is_some()
     {
         return None;
     }
-    let [xs, ys, ts] = Dim::ALL.map(|d| evaluated_stock(container[d.index()], &instance.sizes(d)));
-    for (fx, vx) in &xs {
-        for (fy, vy) in &ys {
-            for (ft, vt) in &ts {
-                let capacity = u128::from(fx.denominator())
-                    * u128::from(fy.denominator())
-                    * u128::from(ft.denominator());
-                let total: u128 = vx
-                    .iter()
-                    .zip(vy)
-                    .zip(vt)
-                    .map(|((&x, &y), &t)| u128::from(x) * u128::from(y) * u128::from(t))
-                    .sum();
+    let [xs, ys, ts] = Dim::ALL.map(|d| Evaluated::new(container[d.index()], &instance.sizes(d)));
+    let mut xy = vec![0u128; instance.task_count()];
+    for (fx, vx) in xs.iter() {
+        for (fy, vy) in ys.iter() {
+            for ((p, &x), &y) in xy.iter_mut().zip(vx).zip(vy) {
+                *p = u128::from(x) * u128::from(y);
+            }
+            let capacity_xy = u128::from(fx.denominator()) * u128::from(fy.denominator());
+            for (ft, vt) in ts.iter() {
+                let capacity = capacity_xy * u128::from(ft.denominator());
+                let total: u128 = xy.iter().zip(vt).map(|(&p, &t)| p * u128::from(t)).sum();
                 if total > capacity {
                     return Some(Refutation::Dff {
-                        description: format!(
-                            "({}, {}, {}): rescaled volume {total} > {capacity}",
-                            fx.name(),
-                            fy.name(),
-                            ft.name()
-                        ),
+                        dffs: [*fx, *fy, *ft],
+                        total,
+                        capacity,
                     });
                 }
             }
@@ -313,12 +356,116 @@ mod tests {
             .task(Task::new("c", 4, 4, 1))
             .build()
             .expect("valid");
+        let refutation = refute_dff(&i).expect("refuted");
         assert_eq!(
-            refute_dff(&i),
-            Some(Refutation::Dff {
-                description: "(id, f^(1), id): rescaled volume 120 > 100".to_string()
-            })
+            refutation,
+            Refutation::Dff {
+                dffs: [
+                    IntegerDff::identity(10),
+                    IntegerDff::staircase(10, 1),
+                    IntegerDff::identity(1)
+                ],
+                total: 120,
+                capacity: 100
+            }
         );
+        assert_eq!(
+            refutation.to_string(),
+            "DFF bound violated: (id, f^(1), id): rescaled volume 120 > 100"
+        );
+    }
+
+    /// The sweep without dominance pruning: every stock combination in
+    /// `(x, y, t)` order. The pruned sweep must return exactly its answer.
+    fn refute_dff_full(instance: &Instance) -> Option<Refutation> {
+        let container = instance.container();
+        if container.contains(&0)
+            || !exact_range(container, instance.task_count())
+            || crate::volume::refute_fit(instance).is_some()
+        {
+            return None;
+        }
+        let [xs, ys, ts] = Dim::ALL.map(|d| {
+            let sizes = instance.sizes(d);
+            stock_dffs(container[d.index()], &sizes)
+                .into_iter()
+                .map(|dff| (dff, sizes.iter().map(|&s| dff.value(s)).collect()))
+                .collect::<Vec<(IntegerDff, Vec<u64>)>>()
+        });
+        for (fx, vx) in &xs {
+            for (fy, vy) in &ys {
+                for (ft, vt) in &ts {
+                    let capacity = u128::from(fx.denominator())
+                        * u128::from(fy.denominator())
+                        * u128::from(ft.denominator());
+                    let total: u128 = vx
+                        .iter()
+                        .zip(vy)
+                        .zip(vt)
+                        .map(|((&x, &y), &t)| u128::from(x) * u128::from(y) * u128::from(t))
+                        .sum();
+                    if total > capacity {
+                        return Some(Refutation::Dff {
+                            dffs: [*fx, *fy, *ft],
+                            total,
+                            capacity,
+                        });
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn pruned_sweep_matches_the_full_one() {
+        use rand::{rngs::StdRng, SeedableRng};
+        use recopack_model::benchmarks::{de, video_codec};
+        use recopack_model::generate::{
+            random_feasible_instance, random_instance, GeneratorConfig,
+        };
+
+        let mut instances = Vec::new();
+        for side in 16..=48 {
+            for horizon in 2..=14 {
+                instances.push(de(Chip::square(side), horizon));
+            }
+        }
+        for side in 60..=72 {
+            for horizon in (40..=70).step_by(3) {
+                instances.push(video_codec(Chip::square(side), horizon));
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(17);
+        for task_count in 3..=10 {
+            for max_side in [2, 4, 6] {
+                let config = GeneratorConfig {
+                    task_count,
+                    max_side,
+                    ..GeneratorConfig::default()
+                };
+                for _ in 0..8 {
+                    let i = random_instance(&config, &mut rng);
+                    let tighter = i.horizon().saturating_sub(1).max(1);
+                    instances.push(i.clone().with_horizon(tighter));
+                    instances.push(i);
+                    instances.push(random_feasible_instance(&config, &mut rng).0);
+                }
+            }
+        }
+        let mut refuted = 0;
+        let mut past_identity = 0;
+        for i in &instances {
+            let pruned = refute_dff(i);
+            assert_eq!(pruned, refute_dff_full(i), "{i:?}");
+            if let Some(Refutation::Dff { dffs, .. }) = &pruned {
+                refuted += 1;
+                past_identity += usize::from(dffs.iter().any(|f| f.name() != "id"));
+            }
+        }
+        // Both answers occur, and so do refutations the plain volume misses.
+        assert!(refuted > 0 && refuted < instances.len(), "{refuted}");
+        assert!(past_identity > 0);
     }
 
     #[test]

@@ -40,6 +40,7 @@ pub mod dff;
 pub mod precedence;
 pub mod volume;
 
+use dff::IntegerDff;
 use recopack_model::{Dim, Instance};
 
 /// The family of lower-bound argument behind a [`Refutation`] — the solver's
@@ -113,12 +114,17 @@ pub enum Refutation {
     },
     /// A dual-feasible-function rescaling pushes the volume over capacity.
     Dff {
-        /// Human-readable description of the DFF combination.
-        description: String,
+        /// The DFFs applied to the task sizes, in [`Dim`] order.
+        dffs: [IntegerDff; 3],
+        /// Rescaled task volume: the sum over tasks of the three rescaled
+        /// sizes' product, in units of the denominators' product.
+        total: u128,
+        /// Rescaled container volume: the product of the denominators.
+        capacity: u128,
     },
     /// The duration-weighted critical path exceeds the horizon.
     CriticalPath {
-        /// Critical path length.
+        /// Critical path length, saturating at `u64::MAX`.
         length: u64,
         /// Horizon.
         horizon: u64,
@@ -169,7 +175,17 @@ impl std::fmt::Display for Refutation {
                     "total volume {total} exceeds container volume {capacity}"
                 )
             }
-            Self::Dff { description } => write!(f, "DFF bound violated: {description}"),
+            Self::Dff {
+                dffs: [fx, fy, ft],
+                total,
+                capacity,
+            } => write!(
+                f,
+                "DFF bound violated: ({}, {}, {}): rescaled volume {total} > {capacity}",
+                fx.name(),
+                fy.name(),
+                ft.name()
+            ),
             Self::CriticalPath { length, horizon } => {
                 write!(f, "critical path {length} exceeds horizon {horizon}")
             }
@@ -194,14 +210,17 @@ impl std::fmt::Display for Refutation {
 /// Tries all bounds in increasing cost order; returns the first refutation.
 ///
 /// Order: single-task fit, critical path, empty windows, plain volume,
-/// energy at forced time points, DFF sweep.
+/// energy at forced time points, DFF sweep. The three precedence bounds
+/// share one [`Timing`](recopack_model::Timing) pass.
 pub fn refute(instance: &Instance) -> Option<Refutation> {
-    volume::refute_fit(instance)
-        .or_else(|| precedence::refute_critical_path(instance))
-        .or_else(|| precedence::refute_windows(instance))
-        .or_else(|| volume::refute_volume(instance))
-        .or_else(|| precedence::refute_energy(instance))
-        .or_else(|| dff::refute_dff(instance))
+    volume::refute_fit(instance).or_else(|| {
+        let timing = instance.timing();
+        precedence::refute_critical_path(instance, &timing)
+            .or_else(|| precedence::refute_windows(instance, &timing))
+            .or_else(|| volume::refute_volume(instance))
+            .or_else(|| precedence::refute_energy(instance, &timing))
+            .or_else(|| dff::refute_dff(instance))
+    })
 }
 
 #[cfg(test)]
@@ -219,6 +238,12 @@ mod tests {
             .build()
             .expect("valid");
         assert_eq!(refute(&i), None);
+        let empty = Instance::builder()
+            .chip(Chip::square(4))
+            .horizon(4)
+            .build()
+            .expect("valid");
+        assert_eq!(refute(&empty), None);
     }
 
     #[test]

@@ -6,46 +6,31 @@
 //! * ASAP/ALAP **start windows** under the horizon can be empty;
 //! * at any time `τ`, the tasks whose windows force them to be running at
 //!   `τ` must simultaneously fit on the chip — an **energy** (area) bound.
+//!
+//! All three read one [`Timing`] pass: a task's window is
+//! `[head, horizon − tail]`.
 
-use recopack_model::{Dim, Instance};
+use recopack_model::{Instance, Timing};
 
 use crate::Refutation;
 
 /// Refutes instances whose critical path exceeds the horizon.
-pub fn refute_critical_path(instance: &Instance) -> Option<Refutation> {
-    let length = instance.critical_path_length();
+pub fn refute_critical_path(instance: &Instance, timing: &Timing) -> Option<Refutation> {
+    let length = timing.length();
     let horizon = instance.horizon();
     (length > horizon).then_some(Refutation::CriticalPath { length, horizon })
 }
 
-/// Per-task ASAP/ALAP start windows under the instance horizon.
-///
-/// Returns `(asap, alap)` per task; `alap` is `None` when the task cannot
-/// meet the horizon at all.
-pub fn start_windows(instance: &Instance) -> (Vec<u64>, Vec<Option<u64>>) {
-    let durations = instance.sizes(Dim::Time);
-    let asap = instance
-        .precedence()
-        .earliest_starts(&durations)
-        .expect("instances are acyclic");
-    let alap = instance
-        .precedence()
-        .latest_starts(&durations, instance.horizon())
-        .expect("instances are acyclic");
-    (asap, alap)
-}
-
-/// Refutes instances where some task's ASAP start exceeds its ALAP start.
-pub fn refute_windows(instance: &Instance) -> Option<Refutation> {
-    let (asap, alap) = start_windows(instance);
-    for (task, (&a, l)) in asap.iter().zip(&alap).enumerate() {
-        match l {
-            None => return Some(Refutation::EmptyWindow { task }),
-            Some(l) if a > *l => return Some(Refutation::EmptyWindow { task }),
-            _ => {}
-        }
-    }
-    None
+/// Refutes instances where some task's ASAP start exceeds its ALAP start,
+/// i.e. its head and tail overrun the horizon.
+pub fn refute_windows(instance: &Instance, timing: &Timing) -> Option<Refutation> {
+    let horizon = instance.horizon();
+    timing
+        .heads()
+        .iter()
+        .zip(timing.tails())
+        .position(|(&head, &tail)| horizon.checked_sub(tail).is_none_or(|alap| head > alap))
+        .map(|task| Refutation::EmptyWindow { task })
 }
 
 /// Refutes instances where, at some time point, the tasks forced to be
@@ -56,25 +41,24 @@ pub fn refute_windows(instance: &Instance) -> Option<Refutation> {
 /// all `alap` values as candidate time points suffices, because the forced
 /// set only changes there. A chip area past `u64` keeps the bound silent
 /// rather than wrapping; the forced area saturates, which only weakens it.
-pub fn refute_energy(instance: &Instance) -> Option<Refutation> {
+pub fn refute_energy(instance: &Instance, timing: &Timing) -> Option<Refutation> {
     let chip = instance.chip();
     let capacity = chip.width().checked_mul(chip.height())?;
-    let (asap, alap) = start_windows(instance);
-    let n = instance.task_count();
-    let mut candidates: Vec<u64> = Vec::with_capacity(n);
-    for l in alap.iter().flatten() {
-        candidates.push(*l);
-    }
+    let horizon = instance.horizon();
+    let alap: Vec<Option<u64>> = timing
+        .tails()
+        .iter()
+        .map(|&tail| horizon.checked_sub(tail))
+        .collect();
+    let mut candidates: Vec<u64> = alap.iter().flatten().copied().collect();
     candidates.sort_unstable();
     candidates.dedup();
     for &tau in &candidates {
         let mut area = 0u64;
-        for i in 0..n {
+        for (i, task) in instance.tasks().iter().enumerate() {
             let Some(l) = alap[i] else { continue };
-            let d = instance.task(i).duration();
             // forced to run at tau iff l <= tau < asap + d
-            if l <= tau && tau < asap[i] + d {
-                let task = instance.task(i);
+            if l <= tau && tau < timing.heads()[i].saturating_add(task.duration()) {
                 area = area.saturating_add(task.width().saturating_mul(task.height()));
             }
         }
@@ -106,9 +90,10 @@ mod tests {
                 .build()
                 .expect("valid")
         };
-        assert_eq!(refute_critical_path(&build(6)), None);
+        let (fits, tight) = (build(6), build(5));
+        assert_eq!(refute_critical_path(&fits, &fits.timing()), None);
         assert_eq!(
-            refute_critical_path(&build(5)),
+            refute_critical_path(&tight, &tight.timing()),
             Some(Refutation::CriticalPath {
                 length: 6,
                 horizon: 5
@@ -130,7 +115,7 @@ mod tests {
             .precedence("b", "c")
             .build()
             .expect("valid");
-        assert!(refute_windows(&i).is_some());
+        assert!(refute_windows(&i, &i.timing()).is_some());
     }
 
     #[test]
@@ -150,7 +135,7 @@ mod tests {
             .expect("valid");
         assert_eq!(crate::volume::refute_volume(&i), None);
         assert_eq!(
-            refute_energy(&i),
+            refute_energy(&i, &i.timing()),
             Some(Refutation::Energy {
                 time: 1,
                 area: 18,
@@ -168,19 +153,20 @@ mod tests {
             .task(Task::new("b", 3, 3, 2))
             .build()
             .expect("valid");
-        assert_eq!(refute_energy(&i), None);
+        assert_eq!(refute_energy(&i, &i.timing()), None);
     }
 
     #[test]
     fn de_at_tight_horizons() {
         // DE on 32x32 at horizon 5 < critical path 6: refuted.
         let i = benchmarks::de(Chip::square(32), 5).with_transitive_closure();
-        assert!(refute_critical_path(&i).is_some());
+        assert!(refute_critical_path(&i, &i.timing()).is_some());
         // At horizon 6 no precedence bound fires (it is feasible).
         let ok = benchmarks::de(Chip::square(32), 6).with_transitive_closure();
-        assert_eq!(refute_critical_path(&ok), None);
-        assert_eq!(refute_windows(&ok), None);
-        assert_eq!(refute_energy(&ok), None);
+        let timing = ok.timing();
+        assert_eq!(refute_critical_path(&ok, &timing), None);
+        assert_eq!(refute_windows(&ok, &timing), None);
+        assert_eq!(refute_energy(&ok, &timing), None);
     }
 
     #[test]
@@ -189,6 +175,6 @@ mod tests {
         // v2 -> v3 and v6 -> v7 squeeze: windows force full-chip MULs to
         // overlap. Expect an energy refutation.
         let i = benchmarks::de(Chip::square(16), 6).with_transitive_closure();
-        assert!(refute_energy(&i).is_some());
+        assert!(refute_energy(&i, &i.timing()).is_some());
     }
 }

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeSet;
 
-use recopack_model::{Dim, Instance, Placement};
+use recopack_model::{Instance, Placement};
 
 use crate::freespace::FreeSpace;
 
@@ -26,25 +26,7 @@ impl Priority {
     pub fn order(self, instance: &Instance) -> Vec<usize> {
         let n = instance.task_count();
         let key: Vec<u64> = match self {
-            Priority::CriticalPath => {
-                let durations = instance.sizes(Dim::Time);
-                let order = instance
-                    .precedence()
-                    .topological_order()
-                    .expect("instances are acyclic");
-                let mut tail = vec![0u64; n];
-                for &u in order.iter().rev() {
-                    let succ_best = instance
-                        .precedence()
-                        .successors(u)
-                        .iter()
-                        .map(|v| tail[v])
-                        .max()
-                        .unwrap_or(0);
-                    tail[u] = durations[u] + succ_best;
-                }
-                tail
-            }
+            Priority::CriticalPath => instance.timing().tails().to_vec(),
             Priority::Area => instance.tasks().iter().map(|t| t.area()).collect(),
             Priority::Duration => instance.tasks().iter().map(|t| t.duration()).collect(),
             Priority::Volume => instance.tasks().iter().map(|t| t.volume()).collect(),
@@ -122,14 +104,14 @@ pub fn list_schedule(instance: &Instance, order: &[usize]) -> Option<Placement> 
         ready.sort_by_key(|&t| rank[t]);
         for t in ready {
             let task = instance.task(t);
-            if now + task.duration() > horizon {
+            let Some(end) = now.checked_add(task.duration()).filter(|&e| e <= horizon) else {
                 continue;
-            }
+            };
             if let Some((x, y)) = space.find_position(task.width(), task.height()) {
                 space.occupy(x, y, task.width(), task.height());
                 placed[t] = Some([x, y, now]);
-                finish[t] = now + task.duration();
-                events.insert(finish[t]);
+                finish[t] = end;
+                events.insert(end);
                 running.push(t);
                 remaining -= 1;
             }

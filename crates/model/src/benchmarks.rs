@@ -206,14 +206,16 @@ mod tests {
     #[test]
     fn video_codec_critical_path_runs_through_the_coder_loop() {
         let i = video_codec(Chip::square(64), 59);
-        let cp = i
-            .precedence()
-            .critical_path(&i.sizes(Dim::Time))
-            .expect("acyclic");
-        let names: Vec<&str> = cp.vertices.iter().map(|&v| i.task(v).name()).collect();
-        assert_eq!(names.first(), Some(&"frame_input"));
-        assert_eq!(names.last(), Some(&"frame_memory"));
-        assert!(names.contains(&"motion_estimation"));
-        assert!(names.contains(&"idct"));
+        let timing = i.timing();
+        assert_eq!(timing.length(), 59);
+        // A task lies on a critical path iff its head and tail fill it.
+        for name in ["frame_input", "motion_estimation", "idct", "frame_memory"] {
+            let v = i.task_id(name).expect("exists");
+            assert_eq!(timing.heads()[v] + timing.tails()[v], 59, "{name}");
+        }
+        let first = i.task_id("frame_input").expect("exists");
+        let last = i.task_id("frame_memory").expect("exists");
+        assert_eq!(timing.heads()[first], 0);
+        assert_eq!(timing.tails()[last], i.task(last).duration());
     }
 }

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use recopack_order::Dag;
 
-use crate::{Chip, Dim, Task};
+use crate::{Chip, Dim, Task, Timing};
 
 /// Errors raised when building an [`Instance`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,14 +170,17 @@ impl Instance {
         self
     }
 
-    /// Duration-weighted critical path through the precedence DAG: no
-    /// schedule can finish earlier, whatever the chip.
+    /// Heads, tails and the critical length of the precedence DAG, from one
+    /// topological pass (see [`Timing`]). It is computed on each call, so a
+    /// caller that needs several of its values should keep the result.
+    pub fn timing(&self) -> Timing {
+        Timing::new(self)
+    }
+
+    /// Duration-weighted critical path through the precedence DAG, saturating
+    /// at `u64::MAX`: no schedule can finish earlier, whatever the chip.
     pub fn critical_path_length(&self) -> u64 {
-        let durations = self.sizes(Dim::Time);
-        self.precedence
-            .critical_path(&durations)
-            .expect("instances are validated acyclic at build time")
-            .length
+        self.timing().length()
     }
 }
 

@@ -15,6 +15,7 @@
 //!
 //! * [`Task`], [`Chip`], [`Instance`] (+ builder) — problem statements;
 //! * [`Dim`] — the three packing dimensions `x`, `y`, `t`;
+//! * [`Timing`] — heads, tails and the critical path of the precedence DAG;
 //! * [`Placement`], [`Schedule`] — solutions and partial solutions, with a
 //!   strict geometric [verifier](Placement::verify);
 //! * [`benchmarks`] — the paper's DE (differential equation) and H.261
@@ -52,9 +53,11 @@ mod instance;
 mod placement;
 pub mod render;
 mod task;
+mod timing;
 
 pub use chip::Chip;
 pub use dim::{Dim, DimIndexError};
 pub use instance::{BuildError, Instance, InstanceBuilder};
 pub use placement::{Box3, Placement, Schedule, VerifyError};
 pub use task::Task;
+pub use timing::Timing;

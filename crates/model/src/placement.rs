@@ -12,7 +12,9 @@ pub struct Box3 {
 }
 
 impl Box3 {
-    /// Exclusive upper corner along `dim`.
+    /// Exclusive upper corner along `dim`. The sum is unchecked, so it
+    /// overflows past `u64::MAX`; [`Placement::verify`] rejects such boxes
+    /// before reading it.
     pub fn end(&self, dim: Dim) -> u64 {
         self.origin[dim.index()] + self.size[dim.index()]
     }
@@ -206,7 +208,9 @@ impl Placement {
                 return Err(VerifyError::WrongShape { task: i });
             }
             for d in Dim::ALL {
-                if b.end(d) > container[d.index()] {
+                // An end past u64 is out of bounds too; `Box3::end` would wrap.
+                let end = b.origin[d.index()].checked_add(b.size[d.index()]);
+                if end.is_none_or(|end| end > container[d.index()]) {
                     return Err(VerifyError::OutOfBounds { task: i, dim: d });
                 }
             }

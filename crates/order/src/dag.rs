@@ -18,15 +18,6 @@ impl std::fmt::Display for CycleError {
 
 impl std::error::Error for CycleError {}
 
-/// A weighted critical path through a DAG.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CriticalPath {
-    /// Vertices on the path, in order.
-    pub vertices: Vec<usize>,
-    /// Total vertex weight along the path.
-    pub length: u64,
-}
-
 /// A directed graph on vertices `0..n`, used for dependency (precedence)
 /// structures. Most operations require acyclicity and say so.
 ///
@@ -40,7 +31,7 @@ pub struct CriticalPath {
 /// d.add_arc(1, 2);
 /// let closure = d.transitive_closure()?;
 /// assert!(closure.has_arc(0, 2));
-/// assert_eq!(d.critical_path(&[2, 3, 1])?.length, 6);
+/// assert_eq!(d.earliest_starts(&[2, 3, 1])?, [0, 2, 5]);
 /// # Ok::<(), recopack_order::CycleError>(())
 /// ```
 #[derive(Clone, PartialEq, Eq)]
@@ -208,53 +199,6 @@ impl Dag {
         })
     }
 
-    /// The longest path by total *vertex* weight — for precedence graphs with
-    /// task durations as weights this is the schedule-length lower bound
-    /// ("the longest path in the graph has length 6", paper §5.1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CycleError`] if the graph has a directed cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `weights` holds one weight per vertex.
-    pub fn critical_path(&self, weights: &[u64]) -> Result<CriticalPath, CycleError> {
-        assert_eq!(weights.len(), self.n, "one weight per vertex required");
-        let order = self.topological_order()?;
-        if self.n == 0 {
-            return Ok(CriticalPath {
-                vertices: vec![],
-                length: 0,
-            });
-        }
-        let mut dist = vec![0u64; self.n]; // weight of heaviest path ending at v
-        let mut from = vec![usize::MAX; self.n];
-        for &u in &order {
-            let best = self.pred[u]
-                .iter()
-                .map(|p| (dist[p], p))
-                .max()
-                .unwrap_or((0, usize::MAX));
-            from[u] = best.1;
-            dist[u] = best.0 + weights[u];
-        }
-        let (&best_end, _) = order
-            .iter()
-            .map(|v| (v, dist[*v]))
-            .max_by_key(|&(_, d)| d)
-            .expect("nonempty graph");
-        let mut vertices = vec![best_end];
-        while from[*vertices.last().expect("nonempty")] != usize::MAX {
-            vertices.push(from[*vertices.last().expect("nonempty")]);
-        }
-        vertices.reverse();
-        Ok(CriticalPath {
-            length: dist[best_end],
-            vertices,
-        })
-    }
-
     /// Earliest start times honoring all arcs (`start(v) ≥ start(u) + w(u)`).
     ///
     /// # Errors
@@ -361,22 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_of_diamond() {
-        let d = diamond();
-        let cp = d.critical_path(&[2, 5, 1, 2]).expect("acyclic");
-        assert_eq!(cp.length, 9);
-        assert_eq!(cp.vertices, vec![0, 1, 3]);
-    }
-
-    #[test]
-    fn critical_path_ignores_isolated_light_vertices() {
-        let d = dag(3, [(0, 1)]);
-        let cp = d.critical_path(&[1, 1, 10]).expect("acyclic");
-        assert_eq!(cp.length, 10);
-        assert_eq!(cp.vertices, vec![2]);
-    }
-
-    #[test]
     fn earliest_and_latest_starts() {
         let d = dag(3, [(0, 1), (1, 2)]);
         let w = [2u64, 3, 1];
@@ -391,7 +319,7 @@ mod tests {
     fn empty_graph_edge_cases() {
         let d = Dag::new(0);
         assert!(d.topological_order().expect("trivially acyclic").is_empty());
-        assert_eq!(d.critical_path(&[]).expect("acyclic").length, 0);
+        assert!(d.earliest_starts(&[]).expect("acyclic").is_empty());
     }
 
     fn random_dag(n: usize, density: f64, seed: u64) -> Dag {

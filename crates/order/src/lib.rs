@@ -11,7 +11,8 @@
 //! This crate provides:
 //!
 //! * [`Dag`] — directed acyclic graphs with topological sort, transitive
-//!   closure and weighted critical paths (the dependency-graph substrate);
+//!   closure and weighted earliest/latest starts (the dependency-graph
+//!   substrate);
 //! * [`orientation`] — the forcing engine: orient a comparability graph
 //!   transitively, extending a given partial order (Korte–Möhring's
 //!   problem, solved by D1/D2 closure plus backtracking);
@@ -46,4 +47,4 @@ pub mod implication;
 pub mod interval;
 pub mod orientation;
 
-pub use dag::{CriticalPath, CycleError, Dag};
+pub use dag::{CycleError, Dag};

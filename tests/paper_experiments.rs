@@ -2,6 +2,7 @@
 //! (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
 //! recorded paper-vs-measured comparison).
 
+use recopack::bounds::refute;
 use recopack::model::{benchmarks, Chip};
 use recopack::solver::{pareto_front_with_stats, Bmp, Opp, SolverConfig, Spp};
 
@@ -118,4 +119,26 @@ fn spp_cross_checks_table1() {
     let on_31 = benchmarks::de(Chip::square(31), 1).with_transitive_closure();
     let r = Spp::new(&on_31).solve().expect("fits");
     assert_eq!(r.makespan, 13, "MULs serialize below 32 cells width");
+}
+
+/// A4 — the stage-1 census over the Fig. 7(a) decision space (sides 16–48,
+/// horizons 2–14, with precedence), as EXPERIMENTS.md tabulates it: 429
+/// decisions, 229 refuted by bounds alone, 184 feasible, 16 infeasible but
+/// needing search. Any change to the bound battery's verdicts moves it.
+#[test]
+fn a4_lower_bound_census() {
+    let (mut refuted, mut feasible, mut needs_search) = (0, 0, 0);
+    for side in 16..=48u64 {
+        for horizon in 2..=14u64 {
+            let instance = benchmarks::de(Chip::square(side), horizon).with_transitive_closure();
+            if refute(&instance).is_some() {
+                refuted += 1;
+            } else if Opp::new(&instance).solve().is_feasible() {
+                feasible += 1;
+            } else {
+                needs_search += 1;
+            }
+        }
+    }
+    assert_eq!((refuted, feasible, needs_search), (229, 184, 16));
 }

@@ -225,3 +225,77 @@ fn twin_symmetry_is_ignored_for_fixed_schedules() {
     let p = outcome.placement().expect("schedule is packable");
     assert_eq!(p.schedule().starts(), schedule.starts());
 }
+
+/// Durations of a chain whose sums pass `u64`. Its true critical path is
+/// 24549961627328068050, past the horizon below, but wrapping sums read
+/// 6103217553618516434 and once let the search, the list scheduler and the
+/// verifier pass a placement that ends past `u64::MAX`.
+const CHAIN_PAST_U64: [u64; 3] = [
+    5_379_378_428_053_189_175,
+    14_695_160_499_251_117_462,
+    4_475_422_700_023_761_413,
+];
+
+/// The chain `t0 → t1 → …` over the first `len` durations of
+/// [`CHAIN_PAST_U64`] on a 4×4 chip. Every prefix of two or more tasks
+/// overruns `u64`.
+fn chain_past_u64(len: usize) -> recopack::model::Instance {
+    use recopack::model::{Instance, Task};
+    let mut builder = Instance::builder()
+        .chip(Chip::square(4))
+        .horizon(15_816_284_081_681_384_567);
+    for (i, &duration) in CHAIN_PAST_U64[..len].iter().enumerate() {
+        builder = builder.task(Task::new(format!("t{i}"), 1, 1, duration));
+        if i > 0 {
+            builder = builder.precedence(format!("t{}", i - 1), format!("t{i}"));
+        }
+    }
+    builder.build().expect("valid")
+}
+
+#[test]
+fn durations_past_u64_are_infeasible() {
+    use recopack::bounds::Refutation;
+    use recopack::solver::{InfeasibilityProof, SolveOutcome};
+    for len in [2, 3] {
+        let instance = chain_past_u64(len);
+        let refutation = Refutation::CriticalPath {
+            length: u64::MAX,
+            horizon: instance.horizon(),
+        };
+        assert_eq!(refute(&instance), Some(refutation.clone()));
+        assert_eq!(
+            Opp::new(&instance).solve(),
+            SolveOutcome::Infeasible(InfeasibilityProof::Bound(refutation))
+        );
+    }
+}
+
+#[test]
+fn list_schedule_sums_durations_without_wrapping() {
+    use recopack::heur::list_schedule;
+    for len in [2, 3] {
+        let order: Vec<usize> = (0..len).collect();
+        assert_eq!(list_schedule(&chain_past_u64(len), &order), None, "{len}");
+    }
+}
+
+#[test]
+fn verify_rejects_boxes_that_end_past_u64() {
+    use recopack::model::{Dim, Instance, Placement, Task, VerifyError};
+    let half = 1u64 << 63;
+    let instance = Instance::builder()
+        .chip(Chip::square(1))
+        .horizon(u64::MAX)
+        .task(Task::new("a", 1, 1, half))
+        .build()
+        .expect("valid");
+    let placement = Placement::new(vec![[0, 0, half]], &instance);
+    assert_eq!(
+        placement.verify(&instance),
+        Err(VerifyError::OutOfBounds {
+            task: 0,
+            dim: Dim::Time
+        })
+    );
+}
