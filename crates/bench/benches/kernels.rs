@@ -2,13 +2,13 @@
 //! "Wide-word kernels").
 //!
 //! Each group pits a fused kernel against the multi-pass composition it
-//! replaced in the hot paths: `intersect_count` vs clone-intersect-len,
-//! `and_not_first` vs materializing the difference, `intersect_into` vs
-//! clone-plus-intersect, and `majority_into` vs the six-pass C4 candidate
-//! build. The `sanity` preamble uses a counting global allocator to prove
-//! the inline-storage claim: constructing, cloning, and running kernels on
-//! capacity-256 sets performs **zero** heap allocations — the property that
-//! makes `PackingState` clone cheap on the work-stealing donate path.
+//! replaced in the hot paths: `intersect_into` vs clone-plus-intersect,
+//! and `majority_into` vs the six-pass C4 candidate build. The `sanity`
+//! preamble checks that each fused kernel agrees with its composition, and
+//! uses a counting global allocator to prove the inline-storage claim:
+//! constructing, cloning, and running kernels on capacity-256 sets
+//! performs **zero** heap allocations — the property that makes
+//! `PackingState` clone cheap on the work-stealing donate path.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,7 +58,8 @@ fn random_set(capacity: usize, mut seed: u64, density_num: u64, density_den: u64
 }
 
 /// Inline-storage spot check: capacity ≤ 256 sets must never touch the
-/// heap — not on construction, not on clone, not in any kernel.
+/// heap — not on construction, not on clone, not in any kernel. The fused
+/// kernels must also agree with the compositions their groups time.
 fn sanity() {
     let a = random_set(256, 0xA5A5_A5A5, 1, 2);
     let b = random_set(256, 0x5A5A_5A5A, 1, 2);
@@ -67,16 +68,31 @@ fn sanity() {
     let before = ALLOCS.load(Ordering::Relaxed);
     let built = BitSet::new(256);
     let cloned = a.clone();
+    let mut and = BitSet::new(256);
+    and.intersect_into(&a, &b);
+    let mut majority = BitSet::new(256);
+    majority.majority_into(&a, &b, &c);
     let mut dst = BitSet::new(256);
-    dst.intersect_into(&a, &b);
-    dst.majority_into(&a, &b, &c);
     dst.intersect2_union_into(&a, &b, &c, &cloned);
-    let count = a.intersect_count(&b) + a.union_count(&b);
-    let first = a.and_not_first(&b);
     let delta = ALLOCS.load(Ordering::Relaxed) - before;
 
     assert!(built.is_empty() && !cloned.is_empty());
-    assert!(count > 0 || first.is_none());
+    let mut composed = a.clone();
+    composed.intersect_with(&b);
+    assert_eq!(
+        and, composed,
+        "intersect_into disagrees with its composition"
+    );
+    let mut pair = a.clone();
+    pair.intersect_with(&c);
+    composed.union_with(&pair);
+    pair.copy_from(&b);
+    pair.intersect_with(&c);
+    composed.union_with(&pair);
+    assert_eq!(
+        majority, composed,
+        "majority_into disagrees with its composition"
+    );
     assert_eq!(
         delta, 0,
         "inline-storage sets (capacity 256) allocated {delta} times"
@@ -95,28 +111,6 @@ fn bench(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("kernels");
     group.sample_size(50);
-
-    group.bench_function("intersect_count/fused", |bch| {
-        bch.iter(|| black_box(&a).intersect_count(black_box(&b)))
-    });
-    group.bench_function("intersect_count/clone_intersect_len", |bch| {
-        bch.iter(|| {
-            let mut t = black_box(&a).clone();
-            t.intersect_with(black_box(&b));
-            t.len()
-        })
-    });
-
-    group.bench_function("and_not_first/fused", |bch| {
-        bch.iter(|| black_box(&a).and_not_first(black_box(&b)))
-    });
-    group.bench_function("and_not_first/materialized_difference", |bch| {
-        bch.iter(|| {
-            let mut t = black_box(&a).clone();
-            t.difference_with(black_box(&b));
-            t.first()
-        })
-    });
 
     let mut dst = BitSet::new(n);
     group.bench_function("intersect_into/fused", |bch| {

@@ -1034,6 +1034,23 @@ mod tests {
     }
 
     #[test]
+    fn answers_too_large_to_draw_still_print() {
+        let path = temp_file(
+            "long.rpk",
+            "chip 2 2\nhorizon 1000000000000\ntask a 1 1 1000000000000\n",
+        );
+        let output = run(&args(&["solve", path.to_str().expect("utf8 path")])).expect("runs");
+        assert!(output.contains("feasible"), "{output}");
+        let path = temp_file(
+            "wide.rpk",
+            "chip 1000000000 1000000000\nhorizon 4\ntask a 2 2 2\ntask b 2 2 2\n",
+        );
+        let p = path.to_str().expect("utf8 path");
+        let output = run(&args(&["solve", p, "--floorplans"])).expect("runs");
+        assert!(output.contains("floorplan not drawn"), "{output}");
+    }
+
+    #[test]
     fn missing_file_is_a_runtime_error() {
         let err = run(&args(&["solve", "/nonexistent/zzz.rpk"])).expect_err("io error");
         assert_eq!(err.exit_code, 1);

@@ -56,9 +56,13 @@ impl<'a> Spp<'a> {
     }
 
     /// An upper bound used to start the search: serialize everything in
-    /// topological order.
+    /// topological order. Saturates at `u64::MAX`, where it may admit no
+    /// packing; [`Spp::solve`] then answers `None`.
     pub fn serial_upper_bound(&self) -> u64 {
-        self.instance.sizes(Dim::Time).iter().sum()
+        self.instance
+            .sizes(Dim::Time)
+            .into_iter()
+            .fold(0, u64::saturating_add)
     }
 
     /// A lower bound from the critical path, the longest single task, and
@@ -81,7 +85,8 @@ impl<'a> Spp<'a> {
     }
 
     /// Finds the minimal makespan; `None` when some task does not fit the
-    /// chip spatially (no horizon helps) or the budget ran out.
+    /// chip spatially (no horizon helps), when no makespan within `u64`
+    /// admits a packing, or when the budget ran out.
     pub fn solve(&self) -> Option<SppResult> {
         let chip = self.instance.chip();
         if self
@@ -102,7 +107,8 @@ impl<'a> Spp<'a> {
                 decisions: tally.decisions,
             });
         }
-        // The serial schedule is always feasible once tasks fit spatially.
+        // The serial schedule is feasible once tasks fit spatially, unless
+        // its length saturated.
         let (makespan, placement) = self.minimize(&mut tally, self.serial_upper_bound(), None)?;
         Some(SppResult {
             makespan,

@@ -49,8 +49,7 @@ enum Store {
 /// allocates.
 ///
 /// Beyond the classic in-place operations, the set exposes *fused kernels*
-/// ([`BitSet::intersect_into`], [`BitSet::intersect_count`],
-/// [`BitSet::union_count`], [`BitSet::and_not_first`],
+/// ([`BitSet::intersect_into`], [`BitSet::and_not_next`],
 /// [`BitSet::majority_into`], [`BitSet::intersect2_union_into`], …) that
 /// compute a multi-operand expression in a single pass over the words
 /// instead of materializing intermediates.
@@ -337,57 +336,12 @@ impl BitSet {
         self.debug_check_tail();
     }
 
-    /// Fused kernel: `|self & other|` without materializing the
-    /// intersection.
-    #[inline]
-    pub fn intersect_count(&self, other: &BitSet) -> usize {
-        debug_assert_eq!(self.capacity, other.capacity);
-        match (&self.store, &other.store) {
-            // `popcnt` is a scalar instruction on most targets, so the
-            // single-word arm saves three of four popcounts for the
-            // ≤ 64-vertex graphs that dominate this workspace.
-            (Store::Inline(a), Store::Inline(b)) if self.capacity <= 64 => {
-                (a[0] & b[0]).count_ones() as usize
-            }
-            (Store::Inline(a), Store::Inline(b)) => block_count(block_and(*a, *b)),
-            (a, b) => raw(a)
-                .iter()
-                .zip(raw(b))
-                .map(|(&x, &y)| (x & y).count_ones() as usize)
-                .sum(),
-        }
-    }
-
-    /// Fused kernel: `|self ∪ other|` without materializing the union.
-    #[inline]
-    pub fn union_count(&self, other: &BitSet) -> usize {
-        debug_assert_eq!(self.capacity, other.capacity);
-        match (&self.store, &other.store) {
-            // Single-word arm: see [`BitSet::intersect_count`].
-            (Store::Inline(a), Store::Inline(b)) if self.capacity <= 64 => {
-                (a[0] | b[0]).count_ones() as usize
-            }
-            (Store::Inline(a), Store::Inline(b)) => block_count(block_or(*a, *b)),
-            (a, b) => raw(a)
-                .iter()
-                .zip(raw(b))
-                .map(|(&x, &y)| (x | y).count_ones() as usize)
-                .sum(),
-        }
-    }
-
-    /// Fused kernel: the smallest element of `self \ other`, if any,
+    /// Fused kernel: the smallest element `>= i` of `self \ other`, if any,
     /// without materializing the difference.
-    #[inline]
-    pub fn and_not_first(&self, other: &BitSet) -> Option<usize> {
-        self.and_not_next(other, 0)
-    }
-
-    /// Fused kernel: the smallest element `>= i` of `self \ other`, if any.
     ///
-    /// The cursor form of [`BitSet::and_not_first`]: enables allocation-free
-    /// "visit everything not yet seen" sweeps where `other` grows between
-    /// steps (only at positions `< i`, which the cursor has passed).
+    /// Enables allocation-free "visit everything not yet seen" sweeps where
+    /// `other` grows between steps (only at positions `< i`, which the
+    /// cursor has passed).
     #[inline]
     pub fn and_not_next(&self, other: &BitSet, i: usize) -> Option<usize> {
         debug_assert_eq!(self.capacity, other.capacity);
@@ -599,12 +553,6 @@ impl BitSet {
             .all(|(a, b)| a & !b == 0)
     }
 
-    /// The smallest element, if any.
-    #[inline]
-    pub fn first(&self) -> Option<usize> {
-        self.next_at_or_after(0)
-    }
-
     /// The smallest element `>= i`, if any.
     ///
     /// Enables allocation-free cursor iteration over a set that may be
@@ -800,11 +748,6 @@ fn block_or(x: Block, y: Block) -> Block {
     [x[0] | y[0], x[1] | y[1], x[2] | y[2], x[3] | y[3]]
 }
 
-/// Population count of a block.
-#[inline]
-fn block_count(x: Block) -> usize {
-    (x[0].count_ones() + x[1].count_ones() + x[2].count_ones() + x[3].count_ones()) as usize
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -854,11 +797,9 @@ mod tests {
             assert_eq!(d.len(), cap);
             d.intersect2_union_into(&full, &full, &BitSet::new(cap), &full);
             assert_eq!(d.len(), cap);
-            assert_eq!(full.intersect_count(&full), cap);
-            assert_eq!(full.union_count(&BitSet::new(cap)), cap);
-            assert_eq!(full.and_not_first(&full), None);
+            assert_eq!(full.and_not_next(&full, 0), None);
             assert_eq!(
-                full.and_not_first(&BitSet::new(cap)),
+                full.and_not_next(&BitSet::new(cap), 0),
                 if cap == 0 { None } else { Some(0) }
             );
         }
@@ -916,15 +857,10 @@ mod tests {
         let mut got = BitSet::new(300);
         got.intersect_into(&a, &b);
         assert_eq!(got, expect);
-        assert_eq!(a.intersect_count(&b), expect.len());
-
-        let mut union = a.clone();
-        union.union_with(&b);
-        assert_eq!(a.union_count(&b), union.len());
 
         let mut diff = a.clone();
         diff.difference_with(&b);
-        assert_eq!(a.and_not_first(&b), diff.first());
+        assert_eq!(a.and_not_next(&b, 0), diff.next_at_or_after(0));
         assert_eq!(a.and_not_next(&b, 65), diff.next_at_or_after(65));
 
         expect = a.intersection(&b);
@@ -978,13 +914,13 @@ mod tests {
         let mut s = BitSet::new(200);
         s.extend([0, 63, 64, 127, 128, 199]);
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63, 64, 127, 128, 199]);
-        assert_eq!(s.first(), Some(0));
+        assert_eq!(s.next_at_or_after(0), Some(0));
     }
 
     #[test]
     fn empty_set_has_no_first() {
         let s = BitSet::new(10);
-        assert_eq!(s.first(), None);
+        assert_eq!(s.next_at_or_after(0), None);
         assert_eq!(s.iter().count(), 0);
     }
 

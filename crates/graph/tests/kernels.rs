@@ -42,34 +42,12 @@ proptest! {
     }
 
     #[test]
-    fn intersect_count_matches_materialized(ci in 0..CAPS.len(), ab in bits(), bb in bits(), cb in bits(), db in bits()) {
-        let cap = CAPS[ci];
-        let a = set_from(cap, &ab);
-        let b = set_from(cap, &bb);
-        let _ = cap;
-        let reference = a.intersection(&b).len();
-        prop_assert_eq!(a.intersect_count(&b), reference);
-    }
-
-    #[test]
-    fn union_count_matches_materialized(ci in 0..CAPS.len(), ab in bits(), bb in bits(), cb in bits(), db in bits()) {
-        let cap = CAPS[ci];
-        let a = set_from(cap, &ab);
-        let b = set_from(cap, &bb);
-        let _ = cap;
-        let mut u = a.clone();
-        u.union_with(&b);
-        prop_assert_eq!(a.union_count(&b), u.len());
-    }
-
-    #[test]
     fn and_not_cursor_matches_materialized_difference(ci in 0..CAPS.len(), ab in bits(), bb in bits(), cb in bits(), db in bits(), start in 0usize..600) {
         let cap = CAPS[ci];
         let a = set_from(cap, &ab);
         let b = set_from(cap, &bb);
         let mut diff = a.clone();
         diff.difference_with(&b);
-        prop_assert_eq!(a.and_not_first(&b), diff.first());
         let start = start % (cap + 1);
         prop_assert_eq!(a.and_not_next(&b, start), diff.next_at_or_after(start));
         // Full cursor sweep enumerates exactly the difference.
@@ -140,12 +118,10 @@ proptest! {
     }
 
     #[test]
-    fn first_equals_cursor_origin(ci in 0..CAPS.len(), ab in bits(), bb in bits(), cb in bits(), db in bits()) {
+    fn cursor_origin_is_the_first_element(ci in 0..CAPS.len(), ab in bits(), bb in bits(), cb in bits(), db in bits()) {
         let cap = CAPS[ci];
         let a = set_from(cap, &ab);
-        let _ = cap;
-        prop_assert_eq!(a.first(), a.next_at_or_after(0));
-        prop_assert_eq!(a.first(), a.iter().next());
+        prop_assert_eq!(a.next_at_or_after(0), a.iter().next());
     }
 
     #[test]

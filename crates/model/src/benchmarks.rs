@@ -18,13 +18,13 @@ use crate::{Chip, Instance, Task};
 pub const DE_WORD_LENGTH: u64 = 16;
 
 /// A 16×16 array multiplier taking 2 clock cycles (paper §5.1).
-pub fn de_multiplier(name: &str) -> Task {
+fn de_multiplier(name: &str) -> Task {
     Task::new(name, DE_WORD_LENGTH, DE_WORD_LENGTH, 2)
 }
 
 /// A 16×1 ALU module (add / subtract / compare) taking 1 clock cycle
 /// (paper §5.1).
-pub fn de_alu(name: &str) -> Task {
+fn de_alu(name: &str) -> Task {
     Task::new(name, DE_WORD_LENGTH, 1, 1)
 }
 

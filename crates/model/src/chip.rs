@@ -11,7 +11,6 @@
 ///
 /// let chip = Chip::square(32);
 /// assert_eq!(chip.area(), 1024);
-/// assert!(chip.is_square());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Chip {
@@ -45,11 +44,6 @@ impl Chip {
     pub fn area(&self) -> u64 {
         self.width * self.height
     }
-
-    /// Whether width equals height.
-    pub fn is_square(&self) -> bool {
-        self.width == self.height
-    }
 }
 
 impl std::fmt::Display for Chip {
@@ -64,8 +58,7 @@ mod tests {
 
     #[test]
     fn square_and_rectangular() {
-        assert!(Chip::square(16).is_square());
-        assert!(!Chip::new(16, 17).is_square());
+        assert_eq!(Chip::square(16), Chip::new(16, 16));
         assert_eq!(Chip::new(3, 4).area(), 12);
     }
 

@@ -3,8 +3,14 @@
 
 use crate::{Dim, Instance, Placement};
 
+/// The widest Gantt chart and floorplan drawn, in characters. A longer
+/// chart is drawn to scale; a larger chip's floorplan is not drawn.
+const MAX_CELLS: u64 = 120;
+
 /// Renders a Gantt-style timeline: one row per task, `#` for cycles where
-/// the task executes.
+/// the task executes. Past 120 cycles each column covers
+/// `⌈makespan / 120⌉` cycles, marked `#` when the task executes in any of
+/// them, and the header says so.
 ///
 /// # Example
 ///
@@ -25,7 +31,9 @@ use crate::{Dim, Instance, Placement};
 /// # Ok::<(), recopack_model::BuildError>(())
 /// ```
 pub fn gantt(placement: &Placement, instance: &Instance) -> String {
-    let span = placement.makespan().max(1) as usize;
+    let span = placement.makespan().max(1);
+    let scale = span.div_ceil(MAX_CELLS);
+    let columns = span.div_ceil(scale);
     let name_width = instance
         .tasks()
         .iter()
@@ -35,17 +43,30 @@ pub fn gantt(placement: &Placement, instance: &Instance) -> String {
         .max(4);
     let mut out = String::new();
     out.push_str(&format!("{:>name_width$} | ", "task"));
-    for tick in 0..span {
-        out.push(char::from_digit((tick % 10) as u32, 10).expect("digit"));
+    for column in 0..columns {
+        out.push(char::from_digit((column % 10) as u32, 10).expect("digit"));
+    }
+    if scale > 1 {
+        out.push_str(&format!("  (1 column = {scale} cycles)"));
     }
     out.push('\n');
-    out.push_str(&format!("{:->name_width$}-+-{}\n", "", "-".repeat(span)));
+    out.push_str(&format!(
+        "{:->name_width$}-+-{}\n",
+        "",
+        "-".repeat(columns as usize)
+    ));
     for (id, b) in placement.boxes().iter().enumerate() {
-        let (s, e) = (b.start(Dim::Time) as usize, b.end(Dim::Time) as usize);
-        let mut row = String::with_capacity(span);
-        for tick in 0..span {
-            row.push(if tick >= s && tick < e { '#' } else { '.' });
-        }
+        let (s, e) = (b.start(Dim::Time), b.end(Dim::Time));
+        let row: String = (0..columns)
+            .map(|column| {
+                let (from, to) = (column * scale, (column + 1).saturating_mul(scale));
+                if s < to && from < e {
+                    '#'
+                } else {
+                    '.'
+                }
+            })
+            .collect();
         out.push_str(&format!(
             "{:>name_width$} | {row}  @({},{})\n",
             instance.task(id).name(),
@@ -62,24 +83,31 @@ pub fn gantt(placement: &Placement, instance: &Instance) -> String {
 ///
 /// Returns `None` when some task only partially overlaps the interval —
 /// the floorplan is only well-defined for intervals between reconfiguration
-/// events (use [`events`] to enumerate them).
+/// events (use [`events`] to enumerate them). A chip wider or taller than
+/// 120 cells gets a one-line note in place of the grid.
 pub fn floorplan(placement: &Placement, instance: &Instance, from: u64, to: u64) -> Option<String> {
     const LETTERS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
     let chip = instance.chip();
-    let mut grid = vec![b'.'; (chip.width() * chip.height()) as usize];
+    let mut running = Vec::new();
     for (id, b) in placement.boxes().iter().enumerate() {
         let (s, e) = (b.start(Dim::Time), b.end(Dim::Time));
-        let full = s <= from && to <= e;
-        let disjoint = e <= from || to <= s;
-        if !full && !disjoint {
+        if s <= from && to <= e {
+            running.push((id, b));
+        } else if from < e && s < to {
             return None;
         }
-        if full {
-            let letter = LETTERS[id % LETTERS.len()];
-            for y in b.start(Dim::Y)..b.end(Dim::Y) {
-                for x in b.start(Dim::X)..b.end(Dim::X) {
-                    grid[(y * chip.width() + x) as usize] = letter;
-                }
+    }
+    if chip.width() > MAX_CELLS || chip.height() > MAX_CELLS {
+        return Some(format!(
+            "({chip} chip: floorplan not drawn past {MAX_CELLS} cells a side)\n"
+        ));
+    }
+    let mut grid = vec![b'.'; (chip.width() * chip.height()) as usize];
+    for (id, b) in running {
+        let letter = LETTERS[id % LETTERS.len()];
+        for y in b.start(Dim::Y)..b.end(Dim::Y) {
+            for x in b.start(Dim::X)..b.end(Dim::X) {
+                grid[(y * chip.width() + x) as usize] = letter;
             }
         }
     }
@@ -147,6 +175,54 @@ mod tests {
         assert_eq!(plan, "..bb\n..bb\n");
         // Interval crossing alpha's end is not constant.
         assert_eq!(floorplan(&p, &i, 1, 3), None);
+    }
+
+    #[test]
+    fn long_charts_are_drawn_to_scale() {
+        let instance = |duration| {
+            Instance::builder()
+                .chip(Chip::new(2, 1))
+                .horizon(2 * duration)
+                .task(Task::new("a", 1, 1, duration))
+                .task(Task::new("b", 1, 1, duration))
+                .build()
+                .expect("valid")
+        };
+        // Up to 120 cycles, one column per cycle.
+        let i = instance(60);
+        let g = gantt(&Placement::new(vec![[0, 0, 0], [0, 0, 60]], &i), &i);
+        assert!(!g.contains("column ="), "{g}");
+        assert!(g.contains(&format!("{}{}  @", ".".repeat(60), "#".repeat(60))));
+        // 1000 cycles: 112 columns of 9 cycles; the column holding cycle
+        // 500 shows both tasks.
+        let i = instance(500);
+        let g = gantt(&Placement::new(vec![[0, 0, 0], [0, 0, 500]], &i), &i);
+        assert!(g.contains("  (1 column = 9 cycles)\n"), "{g}");
+        assert!(g.contains(&format!("{}{}  @", "#".repeat(56), ".".repeat(56))));
+        assert!(g.contains(&format!("{}{}  @", ".".repeat(55), "#".repeat(57))));
+        // A 10^12-cycle task needs no allocation per cycle.
+        let i = instance(1_000_000_000_000);
+        let g = gantt(&Placement::new(vec![[0, 0, 0], [1, 0, 0]], &i), &i);
+        assert!(g.contains("(1 column = 8333333334 cycles)"), "{g}");
+        assert!(g.contains(&format!("{}  @(1,0)", "#".repeat(120))));
+    }
+
+    #[test]
+    fn huge_chips_get_a_note_instead_of_a_floorplan() {
+        let instance = Instance::builder()
+            .chip(Chip::square(1_000_000_000))
+            .horizon(3)
+            .task(Task::new("a", 2, 2, 2))
+            .task(Task::new("b", 2, 2, 1))
+            .build()
+            .expect("valid");
+        let placement = Placement::new(vec![[0, 0, 0], [2, 0, 0]], &instance);
+        assert_eq!(
+            floorplan(&placement, &instance, 0, 1).as_deref(),
+            Some("(1000000000x1000000000 chip: floorplan not drawn past 120 cells a side)\n")
+        );
+        // An interval that is not constant is still refused.
+        assert_eq!(floorplan(&placement, &instance, 0, 2), None);
     }
 
     #[test]

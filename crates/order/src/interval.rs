@@ -19,9 +19,6 @@ pub struct Realization {
     pub starts: Vec<u64>,
     /// Total extent `max(start + length)` of the layout.
     pub extent: u64,
-    /// The interval order used (a transitive orientation of the complement
-    /// of the overlap graph).
-    pub order: Dag,
 }
 
 /// Lays out intervals whose pairwise *disjointness* is prescribed by a
@@ -46,11 +43,7 @@ pub fn realize_from_order(order: &Dag, lengths: &[u64]) -> Realization {
         .map(|(s, l)| s + l)
         .max()
         .unwrap_or(0);
-    Realization {
-        starts,
-        extent,
-        order: order.clone(),
-    }
+    Realization { starts, extent }
 }
 
 #[cfg(test)]
@@ -99,11 +92,7 @@ mod tests {
         let comp = DenseGraph::from_edges(3, [(0, 2)]);
         let order = transitively_orient_extending(&comp, []).expect("one edge orients");
         let r = realize_from_order(&order, &[3, 3, 3]);
-        let (a, b) = if r.order.has_arc(0, 2) {
-            (0, 2)
-        } else {
-            (2, 0)
-        };
+        let (a, b) = if order.has_arc(0, 2) { (0, 2) } else { (2, 0) };
         assert!(r.starts[a] + 3 <= r.starts[b]);
         assert!(r.extent <= 9);
     }

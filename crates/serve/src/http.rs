@@ -1,8 +1,9 @@
 //! A deliberately minimal HTTP/1.1 server side with keep-alive and
 //! pipelining.
 //!
-//! The service speaks to curl, Prometheus scrapers, the load generator,
-//! and the raw `std::net::TcpStream` clients of the integration tests.
+//! The service speaks to curl, Prometheus scrapers, perfbench's
+//! `serve_mix` clients, and the raw `std::net::TcpStream` clients of the
+//! integration tests.
 //! A [`Conn`] owns one connection: it reads requests in a loop, keeps the
 //! bytes that arrive past the current request body (pipelined requests),
 //! and negotiates persistence per request — HTTP/1.1 defaults to

@@ -6,10 +6,13 @@ use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use recopack_core::telemetry::stats_to_json;
 use recopack_core::{Opp, SolverConfig};
 use recopack_json::Json;
 use recopack_model::format;
+use recopack_model::generate::{random_instance, GeneratorConfig};
 use recopack_serve::{ServeConfig, Server};
 
 /// A trivially feasible two-task chain on a 2x2 chip.
@@ -1522,6 +1525,187 @@ fn huge_chips_solve_and_leave_the_server_healthy() {
         assert_eq!(status, 200, "server stays healthy after a huge chip");
         assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
     }
+    server.shutdown();
+    server.join();
+}
+
+/// Seed of the closed-loop mix below.
+const MIX_SEED: u64 = 7;
+
+/// A 5-task random OPP instance in the text format.
+fn mix_instance(rng: &mut StdRng) -> String {
+    let config = GeneratorConfig {
+        task_count: 5,
+        max_side: 3,
+        max_duration: 3,
+        arc_percent: 30,
+    };
+    format::format_instance(&random_instance(&config, rng))
+}
+
+/// A never-repeated instance, unique per (client, op).
+fn fresh_mix_instance(client: usize, op: usize) -> String {
+    let salt = (client as u64) << 32 | op as u64;
+    mix_instance(&mut StdRng::seed_from_u64(
+        MIX_SEED ^ 0xfeed_f00d ^ salt.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+    ))
+}
+
+/// A `POST /jobs` body, or one item of a batch.
+fn opp_body(name: &str, instance: &str) -> String {
+    let mut body = format!("{{\"kind\":\"opp\",\"name\":\"{name}\",\"instance\":");
+    recopack_core::telemetry::push_json_str(&mut body, instance);
+    body.push('}');
+    body
+}
+
+/// One client of the mix: a single keep-alive connection that times every
+/// round trip and drives every job it submits to `done`. A closed stream,
+/// a stalled server or any reply but success panics the client.
+struct MixClient {
+    conn: TestConn,
+    latencies_ms: Vec<f64>,
+    jobs: u64,
+}
+
+impl MixClient {
+    fn round_trip(&mut self, method: &str, path: &str, body: &str) -> (u16, Json) {
+        let start = Instant::now();
+        self.conn.send(method, path, body);
+        let (status, _, reply) = self.conn.read_framed();
+        self.latencies_ms
+            .push(start.elapsed().as_secs_f64() * 1000.0);
+        let doc = Json::parse(&reply).unwrap_or_else(|e| panic!("bad JSON from {path}: {e}"));
+        (status, doc)
+    }
+
+    /// Counts one job whose submission reply (or batch entry) is `entry`,
+    /// and polls it until it is done; a cache hit is born done.
+    fn finish(&mut self, entry: &Json) {
+        self.jobs += 1;
+        let id = entry.get("id").and_then(Json::as_u64);
+        let id = id.unwrap_or_else(|| panic!("job refused: {entry:?}"));
+        let status = |doc: &Json| doc.get("status").and_then(Json::as_str).map(str::to_string);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let (mut doc, mut nap) = (entry.clone(), Duration::ZERO);
+        while matches!(status(&doc).as_deref(), Some("queued" | "running")) {
+            assert!(Instant::now() < deadline, "job {id} never finished");
+            std::thread::sleep(nap);
+            nap = Duration::from_millis(1);
+            let (code, reply) = self.round_trip("GET", &format!("/jobs/{id}"), "");
+            assert_eq!(code, 200, "job {id}: {reply:?}");
+            doc = reply;
+        }
+        assert_eq!(status(&doc).as_deref(), Some("done"), "job {id}: {doc:?}");
+    }
+
+    fn submit(&mut self, name: &str, instance: &str) {
+        let (status, doc) = self.round_trip("POST", "/jobs", &opp_body(name, instance));
+        assert_eq!(status, 202, "{doc:?}");
+        self.finish(&doc);
+    }
+
+    fn submit_batch(&mut self, items: &[(String, &str)]) {
+        let jobs: Vec<String> = items.iter().map(|(n, i)| opp_body(n, i)).collect();
+        let body = format!("{{\"jobs\":[{}]}}", jobs.join(","));
+        let (status, doc) = self.round_trip("POST", "/jobs:batch", &body);
+        assert_eq!(status, 200, "{doc:?}");
+        let entries = doc
+            .get("jobs")
+            .and_then(Json::as_array)
+            .expect("jobs array");
+        assert_eq!(entries.len(), items.len(), "{doc:?}");
+        for entry in entries {
+            self.finish(entry);
+        }
+    }
+}
+
+/// The service's closed-loop smoke gate. Four keep-alive clients run 12
+/// seeded operations each: 50% resubmissions from a shared 6-instance
+/// pool (so they collide across clients as cache hits or in-flight
+/// joins), 15% batches of two pool items and one fresh item, and 35%
+/// fresh instances. Gates: no failed request or job, no reconnect, a
+/// cache hit rate of at least 0.35, and a request p99 within 2 s.
+#[test]
+fn seeded_keep_alive_mix_meets_the_cache_and_latency_gates() {
+    const CLIENTS: usize = 4;
+    const OPS: usize = 12;
+    // The default queue depth: each client has at most one batch of three
+    // jobs outstanding, so no submission meets a full queue.
+    let server = bind_test_server(2, 16);
+    let addr = server.local_addr();
+    let mut rng = StdRng::seed_from_u64(MIX_SEED);
+    let pool: Vec<String> = (0..6).map(|_| mix_instance(&mut rng)).collect();
+
+    let clients: Vec<MixClient> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let pool = &pool;
+                scope.spawn(move || {
+                    let conn = TestConn::connect(addr);
+                    conn.stream
+                        .set_read_timeout(Some(Duration::from_secs(10)))
+                        .expect("socket timeout");
+                    let mut mix = MixClient {
+                        conn,
+                        latencies_ms: Vec::new(),
+                        jobs: 0,
+                    };
+                    let mut rng = StdRng::seed_from_u64(MIX_SEED + 1 + client as u64);
+                    for op in 0..OPS {
+                        let roll = rng.gen_range(0..100u32);
+                        if roll < 50 {
+                            let slot = rng.gen_range(0..pool.len());
+                            mix.submit(&format!("pool-{slot}"), &pool[slot]);
+                        } else if roll < 65 {
+                            let a = rng.gen_range(0..pool.len());
+                            let b = rng.gen_range(0..pool.len());
+                            let fresh = fresh_mix_instance(client, op);
+                            mix.submit_batch(&[
+                                (format!("pool-{a}"), pool[a].as_str()),
+                                (format!("pool-{b}"), pool[b].as_str()),
+                                (format!("c{client}-op{op}-batch"), fresh.as_str()),
+                            ]);
+                        } else {
+                            let fresh = fresh_mix_instance(client, op);
+                            mix.submit(&format!("c{client}-op{op}"), &fresh);
+                        }
+                    }
+                    mix
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client met a failure"))
+            .collect()
+    });
+
+    let (status, exposition) = request(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let metric = |series: &str| metric_value(&exposition, series).unwrap_or(0.0);
+    // One connection per client plus this scrape's: nobody reconnected.
+    assert_eq!(
+        metric("recopack_http_connections_total"),
+        (CLIENTS + 1) as f64
+    );
+    let jobs: u64 = clients.iter().map(|c| c.jobs).sum();
+    assert_eq!(
+        metric("recopack_jobs_completed_total{kind=\"opp\"}"),
+        jobs as f64
+    );
+    let (hits, misses) = (
+        metric("recopack_cache_hits_total"),
+        metric("recopack_cache_misses_total"),
+    );
+    let hit_rate = hits / (hits + misses);
+    assert!(hit_rate >= 0.35, "cache hit rate {hit_rate:.3}");
+    let mut latencies_ms: Vec<f64> = clients.into_iter().flat_map(|c| c.latencies_ms).collect();
+    latencies_ms.sort_by(f64::total_cmp);
+    let p99 = latencies_ms[((latencies_ms.len() - 1) as f64 * 0.99).round() as usize];
+    assert!(p99 <= 2000.0, "request p99 {p99:.3} ms");
+
     server.shutdown();
     server.join();
 }

@@ -299,3 +299,31 @@ fn verify_rejects_boxes_that_end_past_u64() {
         })
     );
 }
+
+/// Two modules of 2^63 cycles fit side by side on a 2×1 chip, so the
+/// optimum is 2^63 although serializing them takes 2^64 cycles: a wrapping
+/// serial bound would read 0 and report that a module does not fit. On a
+/// 1×1 chip only the serial schedule remains, and no makespan within `u64`
+/// admits it.
+#[test]
+fn spp_solves_instances_whose_serial_schedule_passes_u64() {
+    use recopack::model::{Instance, Task};
+    let half = 1u64 << 63;
+    let on_chip = |width| {
+        Instance::builder()
+            .chip(Chip::new(width, 1))
+            .horizon(1)
+            .task(Task::new("a", 1, 1, half))
+            .task(Task::new("b", 1, 1, half))
+            .build()
+            .expect("valid")
+    };
+    let instance = on_chip(2);
+    let result = Spp::new(&instance).solve().expect("both modules fit");
+    assert_eq!(result.makespan, half);
+    assert_eq!(
+        result.placement.verify(&instance.with_horizon(half)),
+        Ok(())
+    );
+    assert_eq!(Spp::new(&on_chip(1)).solve(), None);
+}
