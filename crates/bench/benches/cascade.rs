@@ -1,53 +1,16 @@
-//! Propagation-cascade throughput and the steady-state allocation spot
-//! check (DESIGN.md, "Incremental propagation").
-//!
-//! The incremental engine promises that the per-node search path — branch,
-//! cascade, backtrack — performs no heap allocations in steady state: the
-//! event queue, the bitset scan buffers, the clique workspace, and the
-//! chain-label trail are all owned by the worker and reused. The `sanity`
-//! preamble proves it with a counting global allocator: a ~10⁵-node
-//! infeasibility proof (no accepted leaves, so the leaf-realization path
-//! never runs) must average well under one allocation per node once the
-//! process is warm. Per-solve setup (state, bitset rows, amortized trail
-//! growth) is what remains; it is independent of the node count.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Propagation-cascade throughput (DESIGN.md, "Incremental
+//! propagation"): a ~10⁵-node infeasibility proof and the ledger's `quad6`
+//! case, timed through the search alone. That the per-node path stays
+//! allocation-free in steady state is `tests/allocations.rs`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use recopack_core::{Opp, SolveOutcome, SolverConfig};
+use recopack_core::{Opp, SolverConfig};
 use recopack_model::{Chip, Instance, Task};
 
 use recopack_bench::search_only;
-
-/// [`System`] with a global allocation counter, installed process-wide so
-/// the spot check observes every heap allocation the solver makes.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates verbatim to `System`; the counter is a relaxed atomic.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn config() -> SolverConfig {
     SolverConfig {
@@ -78,8 +41,8 @@ fn cascade_workload() -> Instance {
         .expect("valid instance")
 }
 
-/// The `quad6` suite case: a shorter exhaustive proof for the throughput
-/// group, matching `recopack-bench`'s search-heavy family.
+/// The ledger's `quad6` case (`tests/search_regressions.rs`): a shorter
+/// exhaustive proof for the throughput group.
 fn quad_workload() -> Instance {
     let mut builder = Instance::builder().chip(Chip::square(4)).horizon(2);
     for i in 0..6 {
@@ -91,36 +54,7 @@ fn quad_workload() -> Instance {
         .with_transitive_closure()
 }
 
-fn sanity() {
-    let instance = cascade_workload();
-    // Warm-up: first solve pays one-time process and capacity costs.
-    let (warm, _) = Opp::new(&instance).with_config(config()).solve_with_stats();
-    assert!(matches!(warm, SolveOutcome::Infeasible(_)));
-
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let (outcome, stats) = Opp::new(&instance).with_config(config()).solve_with_stats();
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
-    assert!(matches!(outcome, SolveOutcome::Infeasible(_)));
-    assert!(
-        stats.nodes > 50_000,
-        "workload too small to amortize setup: {} nodes",
-        stats.nodes
-    );
-    assert_eq!(stats.leaves, 0, "the proof must never hit realization");
-
-    let per_node = delta as f64 / stats.nodes as f64;
-    println!(
-        "steady-state allocations: {delta} over {} nodes ({per_node:.4} per node)",
-        stats.nodes
-    );
-    assert!(
-        per_node < 0.1,
-        "per-node search path allocates: {per_node:.4} allocations per node"
-    );
-}
-
 fn bench(c: &mut Criterion) {
-    sanity();
     let mut group = c.benchmark_group("cascade");
     group.sample_size(10);
     for (label, instance) in [

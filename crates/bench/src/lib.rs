@@ -1,18 +1,12 @@
-//! Shared helpers for the criterion benchmark harness and the
-//! `recopack-bench` runner.
+//! Shared helpers for the criterion benchmark harness.
 //!
 //! The criterion benchmarks live in `benches/`; see DESIGN.md §4 for the
 //! experiment index mapping each bench target to a table or figure of the
-//! paper. The [`suite`] module holds the pinned instance set behind the
-//! `recopack-bench` binary and the CI `bench-smoke` node-count gate; the
-//! dependency-free JSON reader for the committed baseline lives in the
-//! shared [`recopack_json`] crate (re-exported here as [`json`]).
+//! paper. The pinned node-count ledger is a root test,
+//! `tests/search_regressions.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub use recopack_json as json;
-pub mod suite;
 
 use recopack_core::SolverConfig;
 

@@ -7,8 +7,8 @@
 //! already touches (node expansion, propagation, conflicts, backtracks,
 //! checkpoints) — no clock reads, no allocation, no branches that depend on
 //! whether anyone is watching. Node counts are therefore bit-identical with
-//! and without an attached sampler; `recopack-bench --check`'s exact gate
-//! enforces this.
+//! and without an attached sampler; the node ledger in
+//! `tests/search_regressions.rs` asserts this under a live sampler.
 //!
 //! A detached [`Sampler`] thread reads all live beacons at a configurable
 //! rate (default [`DEFAULT_HZ`] = 97 Hz, prime to dodge lockstep with

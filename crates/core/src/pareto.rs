@@ -37,8 +37,9 @@ pub struct ParetoPoint {
 /// The instance's own chip and horizon are ignored. Apply
 /// [`Instance::without_precedence`] first to get the paper's dashed curve.
 ///
-/// Returns an empty vector for instances without tasks and `None` if any
-/// decision hits the configured resource limits.
+/// Returns an empty vector for instances without tasks, and `None` if any
+/// decision hits the configured resource limits or no chip admits a
+/// makespan within `u64`.
 ///
 /// # Example
 ///
@@ -80,10 +81,26 @@ pub fn pareto_front_with_stats(
     let widest = side_by_side(instance);
     let square = |side: u64| instance.clone().with_chip(Chip::square(side));
 
-    let side = largest_side(instance);
-    let smallest = square(side);
-    let first = Spp::new(&smallest).with_config(config.clone());
-    let (makespan, placement) = first.minimize(&mut tally, first.serial_upper_bound(), None)?;
+    // On the smallest side every module fits, the serial schedule bounds
+    // the first point's makespan, unless it passes `u64`. Then that side
+    // may admit no makespan within `u64`, and the front starts at the
+    // smallest side that admits horizon `u64::MAX`.
+    let mut side = largest_side(instance);
+    let serial = instance
+        .sizes(Dim::Time)
+        .into_iter()
+        .try_fold(0u64, u64::checked_add);
+    let mut known = None;
+    if serial.is_none() {
+        let (wider, witness) = gallop(side, 1, widest, Placement::bounding_square, |side| {
+            tally.opp(&square(side).with_horizon(u64::MAX), config)
+        })?;
+        side = wider;
+        known = Some(witness);
+    }
+    let (makespan, placement) = Spp::new(&square(side))
+        .with_config(config.clone())
+        .minimize(&mut tally, serial.unwrap_or(u64::MAX), known)?;
     let mut front = vec![ParetoPoint {
         side,
         makespan,

@@ -21,7 +21,7 @@
 //! is installed; [`SolveReport`] packages them (plus wall time, outcome,
 //! optional event totals, and the journal's dropped count) into the
 //! versioned JSON document emitted by the CLI's `--stats-json` and by the
-//! `recopack-bench` runner.
+//! service's `GET /jobs/{id}`.
 //!
 //! # Event ordering and timestamps
 //!
@@ -41,8 +41,8 @@ use std::sync::{Arc, Mutex};
 
 use crate::config::SolverStats;
 
-/// Version of the JSON documents produced by [`SolveReport::to_json`],
-/// [`SolverStats`] serialization, and the `recopack-bench` reports.
+/// Version of the JSON documents produced by [`SolveReport::to_json`] and
+/// [`SolverStats`] serialization.
 ///
 /// Bump this whenever a field is renamed, removed, or changes meaning;
 /// adding fields is backward compatible and does not require a bump.
@@ -781,8 +781,7 @@ pub fn stats_to_json(stats: &SolverStats) -> String {
 }
 
 /// A complete per-solve telemetry report: the document written by the CLI's
-/// `--stats-json <path>` and embedded per instance in `recopack-bench`
-/// output.
+/// `--stats-json <path>` and embedded in the service's job status.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveReport {
     /// The subcommand or problem family that ran (`solve`, `bmp`, ...).

@@ -11,18 +11,6 @@
 /// leftmost, free position always lies on such a corner (DESIGN.md,
 /// "Corner candidates and the Pareto staircase"), so the answer is the one
 /// a scan of every cell would give.
-///
-/// # Example
-///
-/// ```
-/// use recopack_heur::freespace::FreeSpace;
-///
-/// let mut space = FreeSpace::new(4, 4);
-/// let at = space.find_position(2, 2).expect("empty chip fits");
-/// assert_eq!(at, (0, 0));
-/// space.occupy(0, 0, 2, 2);
-/// assert_eq!(space.find_position(2, 2), Some((2, 0)));
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FreeSpace {
     width: u64,
@@ -53,16 +41,6 @@ impl FreeSpace {
             height,
             placed: Vec::new(),
         }
-    }
-
-    /// Chip width in cells.
-    pub fn width(&self) -> u64 {
-        self.width
-    }
-
-    /// Chip height in cells.
-    pub fn height(&self) -> u64 {
-        self.height
     }
 
     /// Whether the rectangle at `(x, y)` of size `w × h` lies inside the

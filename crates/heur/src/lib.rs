@@ -7,7 +7,7 @@
 //! The workhorse is an event-driven, precedence-aware **list scheduler**
 //! ([`list`]): tasks become ready when all predecessors have finished,
 //! ready tasks are placed bottom-left in priority order by a free-space
-//! manager that tracks the running modules' rectangles ([`freespace`]), and
+//! manager that tracks the running modules' rectangles, and
 //! time advances through completion events. Several priority rules plus
 //! seeded random restarts are bundled in [`find_feasible`].
 //!
@@ -27,7 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod freespace;
+mod freespace;
 pub mod list;
 
 use rand::rngs::StdRng;

@@ -1,7 +1,6 @@
-//! A minimal JSON reader shared by every telemetry *consumer* in the
-//! workspace: the `recopack-bench` baseline gate and the `recopack trace`
-//! exporters both parse documents produced by the telemetry writer in
-//! `recopack-core`.
+//! A minimal JSON reader shared by every JSON *consumer* in the workspace:
+//! the `recopack trace` exporters parse documents produced by the telemetry
+//! writer in `recopack-core`, and the service parses job submissions.
 //!
 //! The workspace is dependency-free by policy (no serde), so consumers parse
 //! their input with this small recursive-descent parser. It accepts strict

@@ -10,7 +10,7 @@
 /// use recopack_model::Chip;
 ///
 /// let chip = Chip::square(32);
-/// assert_eq!(chip.area(), 1024);
+/// assert_eq!((chip.width(), chip.height()), (32, 32));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Chip {
@@ -39,11 +39,6 @@ impl Chip {
     pub fn height(&self) -> u64 {
         self.height
     }
-
-    /// Total number of cells.
-    pub fn area(&self) -> u64 {
-        self.width * self.height
-    }
 }
 
 impl std::fmt::Display for Chip {
@@ -59,7 +54,8 @@ mod tests {
     #[test]
     fn square_and_rectangular() {
         assert_eq!(Chip::square(16), Chip::new(16, 16));
-        assert_eq!(Chip::new(3, 4).area(), 12);
+        let chip = Chip::new(3, 4);
+        assert_eq!((chip.width(), chip.height()), (3, 4));
     }
 
     #[test]

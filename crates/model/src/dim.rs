@@ -38,30 +38,6 @@ impl Dim {
         }
     }
 
-    /// The dimension with the given dense index, or a typed error when the
-    /// index is out of range.
-    ///
-    /// This is the only index-to-dimension conversion: in-range indices are
-    /// normally known statically (iterate [`Dim::ALL`] instead of `0..3`),
-    /// and anything dynamic must handle [`DimIndexError`].
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use recopack_model::{Dim, DimIndexError};
-    ///
-    /// assert_eq!(Dim::try_from_index(2), Ok(Dim::Time));
-    /// assert_eq!(Dim::try_from_index(3), Err(DimIndexError(3)));
-    /// ```
-    pub const fn try_from_index(i: usize) -> Result<Dim, DimIndexError> {
-        match i {
-            0 => Ok(Dim::X),
-            1 => Ok(Dim::Y),
-            2 => Ok(Dim::Time),
-            _ => Err(DimIndexError(i)),
-        }
-    }
-
     /// The other two dimensions, in index order.
     pub const fn others(self) -> [Dim; 2] {
         match self {
@@ -71,18 +47,6 @@ impl Dim {
         }
     }
 }
-
-/// Error of [`Dim::try_from_index`]: the contained index is not in `0..3`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DimIndexError(pub usize);
-
-impl std::fmt::Display for DimIndexError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "dimension index {} out of range (expected 0..3)", self.0)
-    }
-}
-
-impl std::error::Error for DimIndexError {}
 
 impl std::fmt::Display for Dim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -101,7 +65,7 @@ mod tests {
     #[test]
     fn index_roundtrip() {
         for d in Dim::ALL {
-            assert_eq!(Dim::try_from_index(d.index()), Ok(d));
+            assert_eq!(Dim::ALL[d.index()], d);
         }
     }
 
@@ -113,21 +77,6 @@ mod tests {
             assert_ne!(b, d);
             assert_ne!(a, b);
         }
-    }
-
-    /// Regression: out-of-range indices must yield a typed error instead of
-    /// a panic — the panicking accessor is gone, so no index-to-dimension
-    /// conversion can abort the process.
-    #[test]
-    fn out_of_range_index_is_a_typed_error() {
-        for i in 3..10usize {
-            let err = Dim::try_from_index(i).expect_err("out of range");
-            assert_eq!(err, DimIndexError(i));
-            assert!(err.to_string().contains(&i.to_string()));
-        }
-        assert_eq!(Dim::try_from_index(0), Ok(Dim::X));
-        assert_eq!(Dim::try_from_index(1), Ok(Dim::Y));
-        assert_eq!(Dim::try_from_index(2), Ok(Dim::Time));
     }
 
     #[test]

@@ -130,11 +130,7 @@ impl Instance {
     pub fn total_volume(&self) -> u64 {
         self.tasks
             .iter()
-            .map(|t| {
-                t.width()
-                    .saturating_mul(t.height())
-                    .saturating_mul(t.duration())
-            })
+            .map(Task::volume)
             .fold(0, u64::saturating_add)
     }
 

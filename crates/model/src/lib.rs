@@ -56,7 +56,7 @@ mod task;
 mod timing;
 
 pub use chip::Chip;
-pub use dim::{Dim, DimIndexError};
+pub use dim::Dim;
 pub use instance::{BuildError, Instance, InstanceBuilder};
 pub use placement::{Box3, Placement, Schedule, VerifyError};
 pub use task::Task;

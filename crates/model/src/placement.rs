@@ -25,7 +25,7 @@ impl Box3 {
     }
 
     /// Whether the open projections of `self` and `other` overlap along `dim`.
-    pub fn overlaps_in(&self, other: &Box3, dim: Dim) -> bool {
+    fn overlaps_in(&self, other: &Box3, dim: Dim) -> bool {
         self.start(dim) < other.end(dim) && other.start(dim) < self.end(dim)
     }
 

@@ -102,14 +102,15 @@ impl Task {
         }
     }
 
-    /// Space-time volume `width × height × duration`.
+    /// Space-time volume `width × height × duration`, saturating at
+    /// `u64::MAX`.
     pub fn volume(&self) -> u64 {
-        self.width * self.height * self.duration()
+        self.area().saturating_mul(self.duration())
     }
 
-    /// Spatial area `width × height`.
+    /// Spatial area `width × height`, saturating at `u64::MAX`.
     pub fn area(&self) -> u64 {
-        self.width * self.height
+        self.width.saturating_mul(self.height)
     }
 }
 

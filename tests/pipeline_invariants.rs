@@ -327,3 +327,51 @@ fn spp_solves_instances_whose_serial_schedule_passes_u64() {
     );
     assert_eq!(Spp::new(&on_chip(1)).solve(), None);
 }
+
+/// The same two 2^63-cycle modules on square chips. The 1×1 chip admits
+/// no makespan within `u64`, which is no resource limit: the front starts
+/// on the 2×2 chip, where they run side by side.
+#[test]
+fn pareto_front_starts_where_a_makespan_fits_u64() {
+    use recopack::model::{Instance, Task};
+    use recopack::solver::pareto_front;
+    let half = 1u64 << 63;
+    let instance = Instance::builder()
+        .chip(Chip::new(2, 1))
+        .horizon(1)
+        .task(Task::new("a", 1, 1, half))
+        .task(Task::new("b", 1, 1, half))
+        .build()
+        .expect("valid");
+    let front = pareto_front(&instance, &SolverConfig::default()).expect("no limits set");
+    let pairs: Vec<(u64, u64)> = front.iter().map(|p| (p.side, p.makespan)).collect();
+    assert_eq!(pairs, [(2, half)]);
+    let target = instance.with_chip(Chip::square(2)).with_horizon(half);
+    assert_eq!(front[0].placement.verify(&target), Ok(()));
+}
+
+/// Modules of 2^32 × 2^32 cells have an area past `u64`. The heuristics
+/// order tasks by area and by volume, which saturate, so with bounds off
+/// the search still gets to prove that two such modules cannot share the
+/// chip's one cycle.
+#[test]
+fn modules_whose_area_passes_u64_are_ordered_without_overflow() {
+    use recopack::model::{Instance, Task};
+    use recopack::solver::SolveOutcome;
+    let side = 1u64 << 32;
+    let instance = Instance::builder()
+        .chip(Chip::square(side))
+        .horizon(1)
+        .task(Task::new("a", side, side, 1))
+        .task(Task::new("b", side, side, 1))
+        .build()
+        .expect("valid");
+    let config = SolverConfig {
+        use_bounds: false,
+        ..SolverConfig::default()
+    };
+    assert!(matches!(
+        Opp::new(&instance).with_config(config).solve(),
+        SolveOutcome::Infeasible(_)
+    ));
+}
