@@ -753,8 +753,20 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let result = Spp::new(&instance).with_config(config).solve();
             let (events, journal_dropped) = session.finish()?;
             sampling.finish(&mut out)?;
-            let result = result
-                .ok_or_else(|| CliError::runtime("some module does not fit the chip spatially"))?;
+            // The CLI sets no budget: without an answer, either a module is
+            // too large for the chip or no makespan within u64 fits.
+            let result = result.ok_or_else(|| {
+                let chip = instance.chip();
+                let too_large = instance
+                    .tasks()
+                    .iter()
+                    .any(|t| t.width() > chip.width() || t.height() > chip.height());
+                CliError::runtime(if too_large {
+                    "some module does not fit the chip spatially"
+                } else {
+                    "no makespan within u64 admits a packing"
+                })
+            })?;
             write_report(
                 &options,
                 ReportMeta {
@@ -1006,6 +1018,27 @@ mod tests {
         assert!(spp.contains("4 cycles"), "{spp}");
         let pareto = run(&args(&["pareto", p])).expect("pareto");
         assert!(pareto.contains('|'), "{pareto}");
+    }
+
+    /// Two chained modules of 2^63 cycles: no makespan within `u64` fits
+    /// them on any chip. That is an answer, not a spent budget, and no
+    /// module is too large for the chip.
+    #[test]
+    fn no_makespan_within_u64_is_an_answer() {
+        let half = 1u64 << 63;
+        let path = temp_file(
+            "past-u64.rpk",
+            &format!("chip 2 2\nhorizon 1\ntask a 1 1 {half}\ntask b 1 1 {half}\narc a b\n"),
+        );
+        let p = path.to_str().expect("utf8 path");
+        let pareto = run(&args(&["pareto", p])).expect("an empty front");
+        assert_eq!(pareto.lines().count(), 1, "header only: {pareto}");
+        let err = run(&args(&["spp", p])).expect_err("no makespan");
+        assert_eq!(err.exit_code, 1);
+        assert_eq!(err.message, "no makespan within u64 admits a packing");
+        let wide = temp_file("too-wide.rpk", "chip 2 2\nhorizon 1\ntask a 3 1 1\n");
+        let err = run(&args(&["spp", wide.to_str().expect("utf8 path")])).expect_err("too wide");
+        assert_eq!(err.message, "some module does not fit the chip spatially");
     }
 
     #[test]

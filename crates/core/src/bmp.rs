@@ -90,7 +90,8 @@ impl<'a> Bmp<'a> {
                 let candidate = self.instance.clone().with_chip(Chip::square(side));
                 tally.opp(&candidate, &self.config)
             },
-        )?;
+        )
+        .flatten()?;
         Some(BmpResult {
             side,
             placement,

@@ -16,6 +16,11 @@ use crate::opp::{Opp, SolveOutcome};
 /// found, or `None` when there is none.
 pub(crate) type Probe = Option<Option<Placement>>;
 
+/// The answer of a [`bracket`] or [`gallop`]: `None` when a budget ran
+/// out, else the least value that admits a packing with a packing valid
+/// there, or `None` when the upper end admits none.
+pub(crate) type Least = Option<Option<(u64, Placement)>>;
+
 /// A run of decision solves: their merged statistics and their number.
 #[derive(Debug, Default)]
 pub(crate) struct Tally {
@@ -79,15 +84,15 @@ pub(crate) fn side_by_side(instance: &Instance) -> u64 {
 /// search. `hi` is probed only when no packing for it is in hand at the
 /// end.
 ///
-/// `None` when a probe ran out of budget, or when `hi` turned out to admit
-/// no packing after all.
+/// `None` when a probe ran out of budget; `Some(None)` when `hi` turned
+/// out to admit no packing after all.
 pub(crate) fn bracket(
     mut lo: u64,
     mut hi: u64,
     known: Option<Placement>,
     measure: fn(&Placement) -> u64,
     mut probe: impl FnMut(u64) -> Probe,
-) -> Option<(u64, Placement)> {
+) -> Least {
     debug_assert!(lo <= hi, "empty bracket {lo}..={hi}");
     let mut next = None;
     if let Some(p) = &known {
@@ -106,22 +111,22 @@ pub(crate) fn bracket(
             None => lo = mid + 1,
         }
     }
-    match best {
+    Some(match best {
         Some(p) => Some((hi, p)),
         None => probe(hi)?.map(|p| (hi, p)),
-    }
+    })
 }
 
 /// Probes `lo`, `lo + step`, `lo + 3 step`, `lo + 7 step`, ... until a
-/// packing is found or `cap` (which must admit one) is reached; then
-/// [`bracket`]s the rest.
+/// packing is found or `cap` is reached; then [`bracket`]s the rest.
+/// `Some(None)` when not even `cap` admits a packing.
 pub(crate) fn gallop(
     lo: u64,
     step: u64,
     cap: u64,
     measure: fn(&Placement) -> u64,
     mut probe: impl FnMut(u64) -> Probe,
-) -> Option<(u64, Placement)> {
+) -> Least {
     let (mut lo, mut hi, mut step, mut known) = (lo, lo.min(cap), step.max(1), None);
     while hi < cap {
         match probe(hi)? {
@@ -172,7 +177,8 @@ mod tests {
         for threshold in 3..=20 {
             let mut log = Vec::new();
             let (v, p) = bracket(3, 20, None, origin_x, fake(threshold, u64::MAX, &mut log))
-                .expect("no budget");
+                .expect("no budget")
+                .expect("a packing");
             assert_eq!(v, threshold);
             assert_eq!(origin_x(&p), threshold);
             assert!(log.len() <= 5, "{threshold}: {log:?}");
@@ -184,7 +190,9 @@ mod tests {
         // The first probe's packing already certifies the threshold; one
         // infeasible probe below it finishes the search.
         let mut log = Vec::new();
-        let (v, _) = bracket(0, 1000, None, origin_x, fake(7, 7, &mut log)).expect("no budget");
+        let (v, _) = bracket(0, 1000, None, origin_x, fake(7, 7, &mut log))
+            .expect("no budget")
+            .expect("a packing");
         assert_eq!(v, 7);
         assert_eq!(log, [500, 3, 5, 6]);
     }
@@ -199,8 +207,9 @@ mod tests {
             .build()
             .expect("valid");
         let known = Placement::new(vec![[40, 0, 0]], &instance);
-        let (v, _) =
-            bracket(0, 90, Some(known), origin_x, fake(40, 40, &mut log)).expect("no budget");
+        let (v, _) = bracket(0, 90, Some(known), origin_x, fake(40, 40, &mut log))
+            .expect("no budget")
+            .expect("a packing");
         assert_eq!(v, 40);
         assert_eq!(log, [39]);
     }
@@ -215,7 +224,9 @@ mod tests {
             .build()
             .expect("valid");
         let known = Placement::new(vec![[4, 0, 0]], &instance);
-        let (v, _) = bracket(4, 9, Some(known), origin_x, fake(4, 4, &mut log)).expect("no budget");
+        let (v, _) = bracket(4, 9, Some(known), origin_x, fake(4, 4, &mut log))
+            .expect("no budget")
+            .expect("a packing");
         assert_eq!(v, 4);
         assert!(log.is_empty());
     }
@@ -223,23 +234,32 @@ mod tests {
     #[test]
     fn the_upper_end_is_probed_only_when_uncertified() {
         let mut log = Vec::new();
-        let (v, _) = bracket(5, 9, None, origin_x, fake(9, 9, &mut log)).expect("no budget");
+        let (v, _) = bracket(5, 9, None, origin_x, fake(9, 9, &mut log))
+            .expect("no budget")
+            .expect("a packing");
         assert_eq!(v, 9);
         assert_eq!(log, [7, 8, 9]);
         let mut log = Vec::new();
-        assert_eq!(bracket(5, 9, None, origin_x, fake(10, 10, &mut log)), None);
+        assert_eq!(
+            bracket(5, 9, None, origin_x, fake(10, 10, &mut log)),
+            Some(None)
+        );
     }
 
     #[test]
     fn gallop_doubles_then_brackets() {
         let mut log = Vec::new();
-        let (v, _) = gallop(3, 3, 100, origin_x, fake(13, u64::MAX, &mut log)).expect("no budget");
+        let (v, _) = gallop(3, 3, 100, origin_x, fake(13, u64::MAX, &mut log))
+            .expect("no budget")
+            .expect("a packing");
         assert_eq!(v, 13);
         // 3, 6, 12 admit nothing and 24 does; the packing found there is
         // checked just below first, then [13, 23] is bisected.
         assert_eq!(log, [3, 6, 12, 24, 23, 18, 15, 14, 13]);
         let mut log = Vec::new();
-        let (v, _) = gallop(4, 1, 100, origin_x, fake(5, 5, &mut log)).expect("no budget");
+        let (v, _) = gallop(4, 1, 100, origin_x, fake(5, 5, &mut log))
+            .expect("no budget")
+            .expect("a packing");
         assert_eq!(v, 5);
         assert_eq!(log, [4, 5]);
     }

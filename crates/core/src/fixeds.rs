@@ -147,7 +147,8 @@ impl<'a> FixedSchedule<'a> {
                     FixedSchedule::new(&candidate, self.schedule).with_config(self.config.clone());
                 tally.record(solver.feasible_with_stats())
             },
-        )?;
+        )
+        .flatten()?;
         Some((side, placement, tally.stats))
     }
 }

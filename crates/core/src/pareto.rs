@@ -37,9 +37,9 @@ pub struct ParetoPoint {
 /// The instance's own chip and horizon are ignored. Apply
 /// [`Instance::without_precedence`] first to get the paper's dashed curve.
 ///
-/// Returns an empty vector for instances without tasks, and `None` if any
-/// decision hits the configured resource limits or no chip admits a
-/// makespan within `u64`.
+/// Returns an empty vector for instances without tasks and when no chip
+/// admits a makespan within `u64`, and `None` if any decision hits the
+/// configured resource limits.
 ///
 /// # Example
 ///
@@ -84,7 +84,8 @@ pub fn pareto_front_with_stats(
     // On the smallest side every module fits, the serial schedule bounds
     // the first point's makespan, unless it passes `u64`. Then that side
     // may admit no makespan within `u64`, and the front starts at the
-    // smallest side that admits horizon `u64::MAX`.
+    // smallest side that admits horizon `u64::MAX`. If none does, not
+    // even with every module side by side, the front is empty.
     let mut side = largest_side(instance);
     let serial = instance
         .sizes(Dim::Time)
@@ -92,15 +93,20 @@ pub fn pareto_front_with_stats(
         .try_fold(0u64, u64::checked_add);
     let mut known = None;
     if serial.is_none() {
-        let (wider, witness) = gallop(side, 1, widest, Placement::bounding_square, |side| {
+        let found = gallop(side, 1, widest, Placement::bounding_square, |side| {
             tally.opp(&square(side).with_horizon(u64::MAX), config)
         })?;
+        let Some((wider, witness)) = found else {
+            return Some((Vec::new(), tally.stats, tally.decisions));
+        };
         side = wider;
         known = Some(witness);
     }
+    // The serial schedule or the witness admits a packing, so only a
+    // spent budget leaves this without one.
     let (makespan, placement) = Spp::new(&square(side))
         .with_config(config.clone())
-        .minimize(&mut tally, serial.unwrap_or(u64::MAX), known)?;
+        .minimize(&mut tally, serial.unwrap_or(u64::MAX), known)??;
     let mut front = vec![ParetoPoint {
         side,
         makespan,
@@ -112,16 +118,19 @@ pub fn pareto_front_with_stats(
             break;
         }
         let goal = last.makespan - 1;
+        // Side by side, every module starts as early as precedence allows,
+        // so `widest` admits every horizon from `t_floor` up, `goal`
+        // included, and the witness admits `goal`.
         let (side, witness) = gallop(
             last.side + 1,
             2,
             widest,
             Placement::bounding_square,
             |side| tally.opp(&square(side).with_horizon(goal), config),
-        )?;
+        )??;
         let (makespan, placement) = Spp::new(&square(side))
             .with_config(config.clone())
-            .minimize(&mut tally, goal, Some(witness))?;
+            .minimize(&mut tally, goal, Some(witness))??;
         front.push(ParetoPoint {
             side,
             makespan,

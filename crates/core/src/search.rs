@@ -121,6 +121,56 @@ fn twin_pair_table(instance: &Instance, config: &SolverConfig, fixed: bool) -> V
     table
 }
 
+/// Bits of a [`branch_key`] that hold the pair index; the dimension sits
+/// in the two bits above them.
+const KEY_PAIR_BITS: u32 = 61;
+
+/// The branching key of slot `(d, p)`, whose two tasks' extents in `d`
+/// sum to `sum`, packed so that integer order is branching order: time
+/// slots first (precedence orientations and chain bounds propagate hardest
+/// there), then the pair's fill `sum / cap` in thousandths, largest first
+/// (the most constrained pairs), then `d`, then `p`. The fill saturates at
+/// `u64::MAX` instead of wrapping; where nothing saturates it is the exact
+/// quotient.
+fn branch_key(d: usize, p: usize, sum: u64, cap: u64) -> u128 {
+    let fill = sum.saturating_mul(1000) / cap.max(1);
+    u128::from(d != TIME) << 127
+        | u128::from(!fill) << (KEY_PAIR_BITS + 2)
+        | (d as u128) << KEY_PAIR_BITS
+        | p as u128
+}
+
+/// Every `(dim, pair)` slot in branching order ([`branch_key`]). Each key
+/// is computed once, then the packed integers are sorted.
+fn branch_order(sizes: &[Vec<u64>; 3], caps: [u64; 3]) -> Vec<(usize, usize)> {
+    let idx = recopack_graph::PairIndex::new(sizes[0].len());
+    debug_assert!(idx.pair_count() as u128 <= 1 << KEY_PAIR_BITS);
+    let mut keys = Vec::with_capacity(3 * idx.pair_count());
+    for (d, (sizes, &cap)) in sizes.iter().zip(&caps).enumerate() {
+        keys.extend(
+            idx.iter()
+                .map(|(p, u, v)| branch_key(d, p, sizes[u].saturating_add(sizes[v]), cap)),
+        );
+    }
+    keys.sort_unstable();
+    let pair_mask = (1u128 << KEY_PAIR_BITS) - 1;
+    keys.into_iter()
+        .map(|key| {
+            (
+                ((key >> KEY_PAIR_BITS) & 3) as usize,
+                (key & pair_mask) as usize,
+            )
+        })
+        .collect()
+}
+
+/// Whether two extents together pass `cap`. A sum past `u64` passes every
+/// capacity: a saturated sum would read 2^64 as `u64::MAX` and miss that
+/// it passes a capacity of `u64::MAX`.
+fn exceeds(a: u64, b: u64, cap: u64) -> bool {
+    a.checked_add(b).is_none_or(|sum| sum > cap)
+}
+
 /// Result of a completed search.
 pub(crate) enum SearchResult {
     Feasible(Placement),
@@ -384,26 +434,7 @@ impl<'a> Search<'a> {
     ) -> Self {
         let sizes = Dim::ALL.map(|d| instance.sizes(d));
         let caps = instance.container();
-        // Branch on the most constrained slots first: largest combined size
-        // relative to capacity; ties prefer the time dimension (where the
-        // orientation machinery bites), then stable order.
-        let idx = recopack_graph::PairIndex::new(instance.task_count());
-        let mut branch_order: Vec<(usize, usize)> = Vec::new();
-        for d in 0..3 {
-            for (p, _, _) in idx.iter() {
-                branch_order.push((d, p));
-            }
-        }
-        let score = |&(d, p): &(usize, usize)| {
-            let (u, v) = idx.pair(p);
-            let sum = sizes[d][u] + sizes[d][v];
-            let cap = caps[d].max(1);
-            let frac = (sum * 1000) / cap;
-            // Time dimension first: precedence orientations and chain bounds
-            // propagate hardest there; then most-constrained pairs.
-            (if d == TIME { 0 } else { 1 }, std::cmp::Reverse(frac), d, p)
-        };
-        branch_order.sort_by_key(score);
+        let branch_order = branch_order(&sizes, caps);
         let twin_pairs = twin_pair_table(instance, config, fixed_starts.is_some());
         Self {
             ctx: SearchContext {
@@ -777,7 +808,7 @@ impl<'c> Worker<'c> {
         if self.ctx.config.must_overlap_rule {
             for d in 0..3 {
                 for (p, u, v) in idx.iter() {
-                    if self.ctx.sizes[d][u] + self.ctx.sizes[d][v] > self.ctx.caps[d] {
+                    if exceeds(self.ctx.sizes[d][u], self.ctx.sizes[d][v], self.ctx.caps[d]) {
                         self.force_state(d, p, EdgeState::Component, Conflict::C2, queue)?;
                     }
                 }
@@ -1009,7 +1040,7 @@ impl<'c> Worker<'c> {
         queue: &mut Vec<Event>,
     ) -> Result<(), Conflict> {
         // C2, cheapest form: the pair itself is a chain.
-        if self.ctx.sizes[d][u] + self.ctx.sizes[d][v] > self.ctx.caps[d] {
+        if exceeds(self.ctx.sizes[d][u], self.ctx.sizes[d][v], self.ctx.caps[d]) {
             return Err(Conflict::C2);
         }
         // C2, clique form: only cliques through the new edge can newly
@@ -1162,9 +1193,13 @@ impl<'c> Worker<'c> {
     /// Complete pattern = conflict; pattern missing exactly one open slot =
     /// force that slot to the opposite value.
     /// Candidate filtering (DESIGN.md, "Incremental propagation"): the
-    /// outer `w` keeps a *live* O(1) viability test — in-scan forcings can
-    /// only kill later `w` patterns, never revive them, so skipping
-    /// nonviable `w` drops exactly the no-op iterations. The inner `x` uses
+    /// outer `w` ranges over a snapshot of the rows its viability test
+    /// needs one of — comp(v) ∪ compar(u) in role 1, comp(u) ∪ comp(v) in
+    /// role 2 — and keeps a *live* O(1) viability test. In-scan forcings
+    /// can only kill later `w` patterns, never revive them, so skipping
+    /// nonviable `w` drops exactly the no-op iterations; and a vertex they
+    /// add to the snapshot's rows is one the live test rejects, so the
+    /// snapshot misses no viable `w`. The inner `x` uses
     /// a per-`w` bitset snapshot: a live pattern has at most one open slot,
     /// so at least two of `x`'s three slots are already fixed right, and
     /// in-scan forcings only write term-row positions at `u`, `v`, `w`, or
@@ -1181,114 +1216,137 @@ impl<'c> Worker<'c> {
         as_cycle_edge: bool,
         queue: &mut Vec<Event>,
     ) -> Result<(), Conflict> {
-        let n = self.state.task_count();
+        let comp = self.state.component_graph(d);
+        let compar = self.state.comparability_graph(d);
+        if as_cycle_edge {
+            self.scan_a
+                .union_into(comp.neighbors(v), compar.neighbors(u));
+        } else {
+            self.scan_a.union_into(comp.neighbors(u), comp.neighbors(v));
+        }
+        let mut next_w = 0;
+        while let Some(w) = self.scan_a.next_at_or_after(next_w) {
+            next_w = w + 1;
+            if w != u && w != v {
+                self.c4_at(d, u, v, w, as_cycle_edge, queue)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The C4 patterns of [`Worker::c4_scan`] through one `w`: skips a
+    /// nonviable `w`, else forces or refutes along every `x`.
+    fn c4_at(
+        &mut self,
+        d: usize,
+        u: usize,
+        v: usize,
+        w: usize,
+        as_cycle_edge: bool,
+        queue: &mut Vec<Event>,
+    ) -> Result<(), Conflict> {
         let idx = self.state.pair_index();
-        for w in 0..n {
-            if w == u || w == v {
+        let comp = self.state.component_graph(d);
+        let compar = self.state.comparability_graph(d);
+        // A viable `w` has no wrong-state slot of its own and at most
+        // one open one (two opens at `w` already exceed the pattern's
+        // single-open budget for every `x`).
+        let viable_w = if as_cycle_edge {
+            // Role 1: (v,w) is a cycle edge, (u,w) a chord.
+            !compar.has_edge(v, w)
+                && !comp.has_edge(u, w)
+                && (comp.has_edge(v, w) || compar.has_edge(u, w))
+        } else {
+            // Role 2: (u,w) and (w,v) are cycle edges.
+            !compar.has_edge(u, w)
+                && !compar.has_edge(v, w)
+                && (comp.has_edge(u, w) || comp.has_edge(v, w))
+        };
+        if !viable_w {
+            return Ok(());
+        }
+        // x's three slots, as graph rows: at least two must already be
+        // fixed right, so candidates are the pairwise intersections.
+        let (ra, rb, rc) = if as_cycle_edge {
+            // (w,x) component, (x,u) component, (v,x) comparability.
+            (comp.neighbors(w), comp.neighbors(u), compar.neighbors(v))
+        } else {
+            // (v,x) component, (x,u) component, (w,x) comparability.
+            (comp.neighbors(v), comp.neighbors(u), compar.neighbors(w))
+        };
+        // A live pattern has one open slot, so x must lie in at least
+        // two of the three rows: one fused majority pass replaces the
+        // three intersections and two unions.
+        self.c4_acc.majority_into(ra, rb, rc);
+        let mut from = if as_cycle_edge { 0 } else { w + 1 };
+        while let Some(x) = self.c4_acc.next_at_or_after(from) {
+            from = x + 1;
+            if x == u || x == v || x == w {
                 continue;
             }
-            let comp = self.state.component_graph(d);
-            let compar = self.state.comparability_graph(d);
-            // A viable `w` has no wrong-state slot of its own and at most
-            // one open one (two opens at `w` already exceed the pattern's
-            // single-open budget for every `x`).
-            let viable_w = if as_cycle_edge {
-                // Role 1: (v,w) is a cycle edge, (u,w) a chord.
-                !compar.has_edge(v, w)
-                    && !comp.has_edge(u, w)
-                    && (comp.has_edge(v, w) || compar.has_edge(u, w))
+            // Role 1: (u,v) is the cycle edge a-b; cycle u-v-w-x.
+            // Role 2: (u,v) is the chord a-c; cycle u-w-v-x.
+            let (cyc, chords) = if as_cycle_edge {
+                (
+                    [
+                        idx.index(u, v),
+                        idx.index(v, w),
+                        idx.index(w, x),
+                        idx.index(x, u),
+                    ],
+                    [idx.index(u, w), idx.index(v, x)],
+                )
             } else {
-                // Role 2: (u,w) and (w,v) are cycle edges.
-                !compar.has_edge(u, w)
-                    && !compar.has_edge(v, w)
-                    && (comp.has_edge(u, w) || comp.has_edge(v, w))
+                (
+                    [
+                        idx.index(u, w),
+                        idx.index(w, v),
+                        idx.index(v, x),
+                        idx.index(x, u),
+                    ],
+                    [idx.index(u, v), idx.index(w, x)],
+                )
             };
-            if !viable_w {
-                continue;
-            }
-            // x's three slots, as graph rows: at least two must already be
-            // fixed right, so candidates are the pairwise intersections.
-            let (ra, rb, rc) = if as_cycle_edge {
-                // (w,x) component, (x,u) component, (v,x) comparability.
-                (comp.neighbors(w), comp.neighbors(u), compar.neighbors(v))
-            } else {
-                // (v,x) component, (x,u) component, (w,x) comparability.
-                (comp.neighbors(v), comp.neighbors(u), compar.neighbors(w))
-            };
-            // A live pattern has one open slot, so x must lie in at least
-            // two of the three rows: one fused majority pass replaces the
-            // three intersections and two unions.
-            self.c4_acc.majority_into(ra, rb, rc);
-            let mut from = if as_cycle_edge { 0 } else { w + 1 };
-            while let Some(x) = self.c4_acc.next_at_or_after(from) {
-                from = x + 1;
-                if x == u || x == v || x == w {
-                    continue;
+            let mut open: Option<(usize, EdgeState)> = None;
+            let mut dead = false;
+            for &p in &cyc {
+                match self.state.state(d, p) {
+                    EdgeState::Component => {}
+                    EdgeState::Unassigned => {
+                        if open.replace((p, EdgeState::Comparability)).is_some() {
+                            dead = true;
+                            break;
+                        }
+                    }
+                    EdgeState::Comparability => {
+                        dead = true;
+                        break;
+                    }
                 }
-                // Role 1: (u,v) is the cycle edge a-b; cycle u-v-w-x.
-                // Role 2: (u,v) is the chord a-c; cycle u-w-v-x.
-                let (cyc, chords) = if as_cycle_edge {
-                    (
-                        [
-                            idx.index(u, v),
-                            idx.index(v, w),
-                            idx.index(w, x),
-                            idx.index(x, u),
-                        ],
-                        [idx.index(u, w), idx.index(v, x)],
-                    )
-                } else {
-                    (
-                        [
-                            idx.index(u, w),
-                            idx.index(w, v),
-                            idx.index(v, x),
-                            idx.index(x, u),
-                        ],
-                        [idx.index(u, v), idx.index(w, x)],
-                    )
-                };
-                let mut open: Option<(usize, EdgeState)> = None;
-                let mut dead = false;
-                for &p in &cyc {
+            }
+            if !dead {
+                for &p in &chords {
                     match self.state.state(d, p) {
-                        EdgeState::Component => {}
+                        EdgeState::Comparability => {}
                         EdgeState::Unassigned => {
-                            if open.replace((p, EdgeState::Comparability)).is_some() {
+                            if open.replace((p, EdgeState::Component)).is_some() {
                                 dead = true;
                                 break;
                             }
                         }
-                        EdgeState::Comparability => {
+                        EdgeState::Component => {
                             dead = true;
                             break;
                         }
                     }
                 }
-                if !dead {
-                    for &p in &chords {
-                        match self.state.state(d, p) {
-                            EdgeState::Comparability => {}
-                            EdgeState::Unassigned => {
-                                if open.replace((p, EdgeState::Component)).is_some() {
-                                    dead = true;
-                                    break;
-                                }
-                            }
-                            EdgeState::Component => {
-                                dead = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if dead {
-                    continue;
-                }
-                match open {
-                    None => return Err(Conflict::C4),
-                    Some((p, forced)) => self.force_state(d, p, forced, Conflict::C4, queue)?,
-                }
+            }
+            if dead {
+                continue;
+            }
+            match open {
+                None => return Err(Conflict::C4),
+                Some((p, forced)) => self.force_state(d, p, forced, Conflict::C4, queue)?,
             }
         }
         Ok(())
@@ -1854,6 +1912,85 @@ mod tests {
         ));
     }
 
+    /// The branch order as it was before packed keys: a stable
+    /// `sort_by_key` whose score, pair decode included, is recomputed on
+    /// both sides of every comparison, with unchecked sums.
+    fn reference_branch_order(instance: &Instance) -> Vec<(usize, usize)> {
+        let sizes = Dim::ALL.map(|d| instance.sizes(d));
+        let caps = instance.container();
+        let idx = recopack_graph::PairIndex::new(instance.task_count());
+        let mut branch_order: Vec<(usize, usize)> = Vec::new();
+        for d in 0..3 {
+            for (p, _, _) in idx.iter() {
+                branch_order.push((d, p));
+            }
+        }
+        let score = |&(d, p): &(usize, usize)| {
+            let (u, v) = idx.pair(p);
+            let sum = sizes[d][u] + sizes[d][v];
+            let cap = caps[d].max(1);
+            let frac = (sum * 1000) / cap;
+            (if d == TIME { 0 } else { 1 }, std::cmp::Reverse(frac), d, p)
+        };
+        branch_order.sort_by_key(score);
+        branch_order
+    }
+
+    /// Seeded random instances of 2 to 40 tasks on containers from below
+    /// the largest module (fills past 1000 thousandths) to far above it
+    /// (fills tied at 0): free and fixed-start searches branch in the
+    /// reference order.
+    #[test]
+    fn packed_keys_keep_the_reference_branch_order() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use recopack_model::generate::{random_instance, GeneratorConfig};
+        let mut rng = StdRng::seed_from_u64(0xB4A_4C4);
+        let config = SolverConfig::default();
+        for round in 0..120 {
+            let generator = GeneratorConfig {
+                task_count: rng.gen_range(2..=40usize),
+                max_side: rng.gen_range(1..=12u64),
+                max_duration: rng.gen_range(1..=12u64),
+                arc_percent: rng.gen_range(0..=40u32),
+            };
+            let side = |rng: &mut StdRng| {
+                if rng.gen_bool(0.1) {
+                    1 << 40
+                } else {
+                    rng.gen_range(1..=40u64)
+                }
+            };
+            let chip = Chip::new(side(&mut rng), side(&mut rng));
+            let horizon = side(&mut rng);
+            let instance = random_instance(&generator, &mut rng)
+                .with_chip(chip)
+                .with_horizon(horizon);
+            let want = reference_branch_order(&instance);
+            let free = Search::new(&instance, &config);
+            assert_eq!(free.ctx.branch_order, want, "round {round}");
+            let starts = instance.timing().heads().to_vec();
+            let fixed = Search::with_fixed_starts(&instance, &config, Some(starts));
+            assert_eq!(fixed.ctx.branch_order, want, "round {round}, fixed starts");
+        }
+    }
+
+    /// Extent sums and fills that pass `u64` saturate instead of wrapping
+    /// to small numbers, so such pairs stay ahead of a small one.
+    #[test]
+    fn branch_keys_saturate() {
+        let huge = 1u64 << 63;
+        let sizes = [vec![huge, huge, 1, 1], vec![1; 4], vec![1, 1, 1, 2]];
+        // Pairs 0..=5 are {0,1}, {0,2}, {1,2}, {0,3}, {1,3}, {2,3}. In x,
+        // {0,1} sums past u64 and the next four have `sum · 1000` past it:
+        // all read fill u64::MAX / 2^63 = 1, ahead of {2,3} at 0.
+        let order = branch_order(&sizes, [huge, huge, 2]);
+        let time = [(2, 3), (2, 4), (2, 5), (2, 0), (2, 1), (2, 2)];
+        let x = (0..6).map(|p| (0, p));
+        let y = (0..6).map(|p| (1, p));
+        let want: Vec<(usize, usize)> = time.into_iter().chain(x).chain(y).collect();
+        assert_eq!(order, want);
+    }
+
     #[test]
     fn fixed_starts_solves_spatial_subproblem() {
         // Two 2x2 tasks overlapping in time on a 4x2 chip: must separate in x.
@@ -2053,6 +2190,95 @@ mod propagation_tests {
             assert!(matches!(off_result, SearchResult::Infeasible));
             assert_eq!(off_stats.nodes, nodes_without_c4);
             assert_ne!(stats.nodes, off_stats.nodes, "C4 must prune this tree");
+        }
+    }
+
+    /// The C4 scan as it was before its candidate set: every `w` of the
+    /// instance goes through the live viability test.
+    fn reference_c4_scan(
+        worker: &mut Worker<'_>,
+        d: usize,
+        (u, v): (usize, usize),
+        as_cycle_edge: bool,
+        queue: &mut Vec<Event>,
+    ) -> Result<(), Conflict> {
+        for w in 0..worker.state.task_count() {
+            if w != u && w != v {
+                worker.c4_at(d, u, v, w, as_cycle_edge, queue)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// On seeded random partial states, the candidate-set C4 scan returns
+    /// what the scan over every `w` returns and makes the same forcings in
+    /// the same order, in both roles.
+    #[test]
+    fn c4_candidate_scan_matches_the_full_scan() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xC4);
+        let config = SolverConfig::default();
+        let budget = SharedBudget::new();
+        let (mut forcing, mut refuting) = ([0; 2], [0; 2]);
+        for round in 0..3000 {
+            let n = rng.gen_range(4..=12usize);
+            let instance = Instance::builder()
+                .chip(Chip::square(n as u64))
+                .horizon(n as u64)
+                .tasks((0..n).map(|k| Task::new(format!("t{k}"), 1, 1, 1)))
+                .build()
+                .expect("valid");
+            let search = Search::new(&instance, &config);
+            let idx = recopack_graph::PairIndex::new(n);
+            let d = rng.gen_range(0..3usize);
+            let mut state = PackingState::with_sizes(n, search.ctx.sizes.clone());
+            let open_percent = rng.gen_range(5..=70u32);
+            for p in 0..idx.pair_count() {
+                if rng.gen_range(0..100u32) >= open_percent {
+                    let fixed = if rng.gen_bool(0.5) {
+                        EdgeState::Component
+                    } else {
+                        EdgeState::Comparability
+                    };
+                    state.assign(d, p, fixed);
+                }
+            }
+            let p = rng.gen_range(0..idx.pair_count());
+            let as_cycle_edge = match state.state(d, p) {
+                EdgeState::Component => true,
+                EdgeState::Comparability => false,
+                EdgeState::Unassigned => continue,
+            };
+            let run = |full: bool| {
+                let mut worker = Worker::new(&search.ctx, &budget, state.clone(), None);
+                let mut queue = Vec::new();
+                let (u, v) = idx.pair(p);
+                let result = if full {
+                    reference_c4_scan(&mut worker, d, (u, v), as_cycle_edge, &mut queue)
+                } else {
+                    worker.c4_scan(d, u, v, as_cycle_edge, &mut queue)
+                };
+                let forced: Vec<(usize, EdgeState)> = queue
+                    .iter()
+                    .map(|event| match *event {
+                        Event::Fixed(_, q) => (q, worker.state.state(d, q)),
+                        Event::Arc(..) => unreachable!("C4 orients nothing"),
+                    })
+                    .collect();
+                (result, forced)
+            };
+            let (result, forced) = run(false);
+            assert_eq!((result, forced.clone()), run(true), "round {round}");
+            let role = usize::from(!as_cycle_edge);
+            forcing[role] += usize::from(!forced.is_empty());
+            refuting[role] += usize::from(result.is_err());
+        }
+        // Both roles force and refute often enough for the check to bite.
+        for role in 0..2 {
+            assert!(
+                forcing[role] > 50 && refuting[role] > 50,
+                "{forcing:?} {refuting:?}"
+            );
         }
     }
 

@@ -3,7 +3,7 @@
 
 use recopack_model::{Dim, Instance, Placement};
 
-use crate::bracket::{bracket, Tally};
+use crate::bracket::{bracket, Least, Tally};
 use crate::config::{SolverConfig, SolverStats};
 
 /// Result of a makespan minimization.
@@ -109,7 +109,9 @@ impl<'a> Spp<'a> {
         }
         // The serial schedule is feasible once tasks fit spatially, unless
         // its length saturated.
-        let (makespan, placement) = self.minimize(&mut tally, self.serial_upper_bound(), None)?;
+        let (makespan, placement) = self
+            .minimize(&mut tally, self.serial_upper_bound(), None)
+            .flatten()?;
         Some(SppResult {
             makespan,
             placement,
@@ -121,12 +123,7 @@ impl<'a> Spp<'a> {
     /// The minimal makespan, [`bracket`]ed between the lower bound and
     /// `hi`, a horizon that admits a packing (`known`, when one is in
     /// hand). Every packing found moves the upper end down to its makespan.
-    pub(crate) fn minimize(
-        &self,
-        tally: &mut Tally,
-        hi: u64,
-        known: Option<Placement>,
-    ) -> Option<(u64, Placement)> {
+    pub(crate) fn minimize(&self, tally: &mut Tally, hi: u64, known: Option<Placement>) -> Least {
         bracket(
             self.lower_bound(),
             hi,

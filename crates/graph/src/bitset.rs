@@ -336,6 +336,25 @@ impl BitSet {
         self.debug_check_tail();
     }
 
+    /// Fused kernel: overwrites `self` with `a | b` in one pass — the
+    /// clone-free replacement for `copy_from(a)` + `union_with(b)`.
+    ///
+    /// All three sets must share a capacity (debug-asserted).
+    #[inline]
+    pub fn union_into(&mut self, a: &BitSet, b: &BitSet) {
+        debug_assert_eq!(self.capacity, a.capacity);
+        debug_assert_eq!(self.capacity, b.capacity);
+        match (&mut self.store, &a.store, &b.store) {
+            (Store::Inline(d), Store::Inline(x), Store::Inline(y)) => *d = block_or(*x, *y),
+            (d, x, y) => {
+                for (dw, (&xw, &yw)) in raw_mut(d).iter_mut().zip(raw(x).iter().zip(raw(y))) {
+                    *dw = xw | yw;
+                }
+            }
+        }
+        self.debug_check_tail();
+    }
+
     /// Fused kernel: the smallest element `>= i` of `self \ other`, if any,
     /// without materializing the difference.
     ///
@@ -793,6 +812,8 @@ mod tests {
             let mut d = BitSet::new(cap);
             d.intersect_into(&full, &full);
             assert_eq!(d.len(), cap);
+            d.union_into(&BitSet::new(cap), &full);
+            assert_eq!(d.len(), cap);
             d.majority_into(&full, &full, &BitSet::new(cap));
             assert_eq!(d.len(), cap);
             d.intersect2_union_into(&full, &full, &BitSet::new(cap), &full);
@@ -857,6 +878,11 @@ mod tests {
         let mut got = BitSet::new(300);
         got.intersect_into(&a, &b);
         assert_eq!(got, expect);
+
+        let mut union = a.clone();
+        union.union_with(&b);
+        got.union_into(&a, &b);
+        assert_eq!(got, union);
 
         let mut diff = a.clone();
         diff.difference_with(&b);

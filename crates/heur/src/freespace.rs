@@ -35,12 +35,24 @@ fn intersects(a: u64, la: u64, b: u64, lb: u64) -> bool {
 
 impl FreeSpace {
     /// Creates an empty chip.
+    #[cfg(test)]
     pub fn new(width: u64, height: u64) -> Self {
+        Self::with_capacity(width, height, 0)
+    }
+
+    /// Creates an empty chip with room for `rects` rectangles before the
+    /// list of placed ones grows.
+    pub fn with_capacity(width: u64, height: u64, rects: usize) -> Self {
         Self {
             width,
             height,
-            placed: Vec::new(),
+            placed: Vec::with_capacity(rects),
         }
+    }
+
+    /// Frees every rectangle, keeping the list's capacity.
+    pub fn clear(&mut self) {
+        self.placed.clear();
     }
 
     /// Whether the rectangle at `(x, y)` of size `w × h` lies inside the

@@ -63,13 +63,24 @@ impl Default for HeuristicConfig {
 /// [`Placement::verify`](recopack_model::Placement::verify) — the heuristic
 /// cannot produce an unsound "feasible".
 pub fn find_feasible(instance: &Instance, config: &HeuristicConfig) -> Option<Placement> {
+    let mut workspace = list::Workspace::new(instance);
+    try_orders(instance, config, |order| workspace.schedule(order))
+}
+
+/// Hands `attempt` the deterministic rule orders, then `random_restarts`
+/// seeded shuffles, and returns the first placement it produces.
+fn try_orders(
+    instance: &Instance,
+    config: &HeuristicConfig,
+    mut attempt: impl FnMut(&[usize]) -> Option<Placement>,
+) -> Option<Placement> {
     for rule in [
         Priority::CriticalPath,
         Priority::Area,
         Priority::Duration,
         Priority::Volume,
     ] {
-        if let Some(p) = list_schedule(instance, &rule.order(instance)) {
+        if let Some(p) = attempt(&rule.order(instance)) {
             return Some(p);
         }
     }
@@ -77,7 +88,7 @@ pub fn find_feasible(instance: &Instance, config: &HeuristicConfig) -> Option<Pl
     let mut order: Vec<usize> = (0..instance.task_count()).collect();
     for _ in 0..config.random_restarts {
         order.shuffle(&mut rng);
-        if let Some(p) = list_schedule(instance, &order) {
+        if let Some(p) = attempt(&order) {
             return Some(p);
         }
     }
@@ -139,6 +150,52 @@ mod tests {
                 assert_eq!(p.verify(&i), Ok(()));
             }
         }
+    }
+
+    /// The workspace and the reference scheduler agree on every order
+    /// `find_feasible` tries (all of them: the visitor never stops early),
+    /// on seeded random and witnessed instances and on the DE and codec
+    /// grids of the paper's tables.
+    #[test]
+    fn workspace_matches_the_reference_on_every_tried_order() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x11_5C);
+        let mut instances = Vec::new();
+        for task_count in 2..=12 {
+            let config = generate::GeneratorConfig {
+                task_count,
+                ..generate::GeneratorConfig::default()
+            };
+            for _ in 0..6 {
+                instances.push(generate::random_instance(&config, &mut rng));
+                instances.push(generate::random_feasible_instance(&config, &mut rng).0);
+            }
+        }
+        for (side, horizon) in [(16, 13), (16, 14), (17, 12), (24, 8), (32, 5), (32, 6)] {
+            instances.push(benchmarks::de(Chip::square(side), horizon).with_transitive_closure());
+        }
+        for (side, horizon) in [(48, 70), (63, 59), (64, 59), (64, 58)] {
+            instances.push(
+                benchmarks::video_codec(Chip::square(side), horizon).with_transitive_closure(),
+            );
+        }
+        let config = HeuristicConfig::default();
+        let (mut orders, mut placed) = (0, 0);
+        for instance in &instances {
+            let mut workspace = list::Workspace::new(instance);
+            try_orders(instance, &config, |order| {
+                let got = workspace.schedule(order);
+                assert_eq!(got, list::reference_list_schedule(instance, order));
+                orders += 1;
+                placed += usize::from(got.is_some());
+                None
+            });
+        }
+        assert_eq!(orders, 28 * instances.len());
+        assert!(
+            placed > orders / 4 && placed < orders,
+            "{placed} of {orders} placed"
+        );
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Event-driven, precedence-aware list scheduling.
 
-use std::collections::BTreeSet;
-
 use recopack_model::{Instance, Placement};
 
 use crate::freespace::FreeSpace;
@@ -46,10 +44,158 @@ impl Priority {
 /// Succeeds iff everything is placed within the horizon; the result is
 /// verified before being returned, so a `Some` is always a true packing.
 ///
+/// A thin call into the scheduler's reusable workspace, which
+/// [`find_feasible`](crate::find_feasible) keeps for every order it tries
+/// on one instance.
+///
 /// # Panics
 ///
 /// Panics if `order` is not a permutation of `0..task_count`.
 pub fn list_schedule(instance: &Instance, order: &[usize]) -> Option<Placement> {
+    Workspace::new(instance).schedule(order)
+}
+
+/// The list scheduler's buffers for one instance, sized once, so that
+/// scheduling another order allocates nothing until a packing is built.
+pub(crate) struct Workspace<'a> {
+    instance: &'a Instance,
+    /// Whether every task fits the chip and the horizon on its own; if
+    /// not, no order can place everything.
+    fits: bool,
+    /// Predecessor count of each task.
+    preds: Vec<usize>,
+    /// Position of each task in the order being scheduled.
+    rank: Vec<usize>,
+    /// Predecessors of each task that have not finished yet.
+    unfinished_preds: Vec<usize>,
+    /// Origin of each placed task.
+    placed: Vec<Option<[u64; 3]>>,
+    /// Finish time of each placed task.
+    finish: Vec<u64>,
+    /// Placed tasks that have not been released yet.
+    running: Vec<usize>,
+    /// Tasks ready at the current event, in priority order.
+    ready: Vec<usize>,
+    space: FreeSpace,
+}
+
+impl<'a> Workspace<'a> {
+    /// Sizes every buffer for `instance`.
+    pub(crate) fn new(instance: &'a Instance) -> Self {
+        let n = instance.task_count();
+        let chip = instance.chip();
+        let fits = instance.tasks().iter().all(|t| {
+            t.width() <= chip.width()
+                && t.height() <= chip.height()
+                && t.duration() <= instance.horizon()
+        });
+        Self {
+            instance,
+            fits,
+            preds: (0..n)
+                .map(|v| instance.precedence().predecessors(v).len())
+                .collect(),
+            rank: vec![0; n],
+            unfinished_preds: vec![0; n],
+            placed: vec![None; n],
+            finish: vec![0; n],
+            running: Vec::with_capacity(n),
+            ready: Vec::with_capacity(n),
+            space: FreeSpace::with_capacity(chip.width(), chip.height(), n),
+        }
+    }
+
+    /// [`list_schedule`] with these buffers.
+    ///
+    /// The next event is always the least finish time among the running
+    /// tasks: every completion still ahead belongs to a running task, and
+    /// every running task completes ahead. So no event set is kept.
+    pub(crate) fn schedule(&mut self, order: &[usize]) -> Option<Placement> {
+        let Self {
+            instance,
+            fits,
+            preds,
+            rank,
+            unfinished_preds,
+            placed,
+            finish,
+            running,
+            ready,
+            space,
+        } = self;
+        let instance = *instance;
+        let n = instance.task_count();
+        assert_eq!(order.len(), n, "order must cover every task");
+        if !*fits {
+            return None;
+        }
+        let horizon = instance.horizon();
+        for (r, &t) in order.iter().enumerate() {
+            rank[t] = r;
+        }
+        unfinished_preds.copy_from_slice(preds);
+        placed.fill(None);
+        running.clear();
+        space.clear();
+        let mut remaining = n;
+        let mut now = 0;
+        while remaining > 0 && now < horizon {
+            // Release everything finishing at or before `now`.
+            running.retain(|&t| {
+                if finish[t] > now {
+                    return true;
+                }
+                let [x, y, _] = placed[t].expect("running tasks are placed");
+                let task = instance.task(t);
+                space.release(x, y, task.width(), task.height());
+                for v in instance.precedence().successors(t).iter() {
+                    unfinished_preds[v] -= 1;
+                }
+                false
+            });
+            // Ready tasks in priority order.
+            ready.clear();
+            ready.extend((0..n).filter(|&t| placed[t].is_none() && unfinished_preds[t] == 0));
+            ready.sort_unstable_by_key(|&t| rank[t]);
+            for &t in ready.iter() {
+                let task = instance.task(t);
+                let Some(end) = now.checked_add(task.duration()).filter(|&e| e <= horizon) else {
+                    continue;
+                };
+                if let Some((x, y)) = space.find_position(task.width(), task.height()) {
+                    space.occupy(x, y, task.width(), task.height());
+                    placed[t] = Some([x, y, now]);
+                    finish[t] = end;
+                    running.push(t);
+                    remaining -= 1;
+                }
+            }
+            match running.iter().map(|&t| finish[t]).min() {
+                Some(next) => now = next,
+                None => break,
+            }
+        }
+        if remaining > 0 {
+            return None;
+        }
+        let origins: Vec<[u64; 3]> = placed
+            .iter()
+            .map(|p| p.expect("all tasks placed"))
+            .collect();
+        let placement = Placement::new(origins, instance);
+        // The scheduler's invariants should make this infallible; verify anyway
+        // so a bug here can never masquerade as a feasible packing.
+        placement.verify(instance).is_ok().then_some(placement)
+    }
+}
+
+/// The list scheduler as it was before [`Workspace`]: fresh buffers for
+/// every order, a `BTreeSet` of event times and a sorted ready list at
+/// every event. Kept as the reference the workspace is tested against.
+#[cfg(test)]
+pub(crate) fn reference_list_schedule(instance: &Instance, order: &[usize]) -> Option<Placement> {
+    use std::collections::BTreeSet;
+
     let n = instance.task_count();
     assert_eq!(order.len(), n, "order must cover every task");
     if n == 0 {
@@ -129,8 +275,6 @@ pub fn list_schedule(instance: &Instance, order: &[usize]) -> Option<Placement> 
         .map(|p| p.expect("all tasks placed"))
         .collect();
     let placement = Placement::new(origins, instance);
-    // The scheduler's invariants should make this infallible; verify anyway
-    // so a bug here can never masquerade as a feasible packing.
     placement.verify(instance).is_ok().then_some(placement)
 }
 

@@ -8,7 +8,9 @@ use std::cell::Cell;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use recopack::bounds::refute;
 use recopack::graph::BitSet;
+use recopack::heur::{find_feasible, HeuristicConfig};
 use recopack::model::{Chip, Instance, Task};
 use recopack::solver::{Opp, SolveOutcome, SolverConfig};
 
@@ -148,5 +150,52 @@ fn search_allocates_far_less_than_once_per_node() {
         per_node < 0.1,
         "{delta} allocations over {} nodes ({per_node:.4} per node)",
         stats.nodes
+    );
+}
+
+/// Six modules on a 4×6 chip over 9 cycles that no bound refutes and that
+/// every order the heuristic tries fails to place (draw 0 of
+/// `random_instance` at seed 7, written out).
+fn heuristic_miss() -> Instance {
+    Instance::builder()
+        .chip(Chip::new(4, 6))
+        .horizon(9)
+        .task(Task::new("t0", 3, 3, 3))
+        .task(Task::new("t1", 1, 1, 2))
+        .task(Task::new("t2", 1, 1, 1))
+        .task(Task::new("t3", 4, 4, 1))
+        .task(Task::new("t4", 2, 4, 3))
+        .task(Task::new("t5", 4, 4, 3))
+        .precedence("t0", "t1")
+        .precedence("t1", "t4")
+        .precedence("t2", "t5")
+        .build()
+        .expect("valid instance")
+}
+
+/// `find_feasible` runs every order through one list-scheduler workspace
+/// sized up front, so a failing call allocates as often with 24 random
+/// restarts as with none: only the set-up and the rule orders allocate.
+#[test]
+fn failing_heuristic_allocates_nothing_per_restart() {
+    let instance = heuristic_miss();
+    assert_eq!(refute(&instance), None);
+    let count = |random_restarts| {
+        let config = HeuristicConfig {
+            random_restarts,
+            ..HeuristicConfig::default()
+        };
+        let before = allocations();
+        let found = find_feasible(&instance, &config);
+        let delta = allocations() - before;
+        assert_eq!(found, None, "the heuristic misses this instance");
+        delta
+    };
+    // The first call pays one-time process costs.
+    count(24);
+    let (none, all) = (count(0), count(24));
+    assert_eq!(
+        none, all,
+        "{none} allocations without restarts, {all} with 24"
     );
 }

@@ -375,3 +375,44 @@ fn modules_whose_area_passes_u64_are_ordered_without_overflow() {
         SolveOutcome::Infeasible(_)
     ));
 }
+
+/// Modules of 2^63 along one dimension, with bounds and heuristics off, so
+/// the search itself sets up and answers. Its branching keys, its
+/// must-overlap seed and the pair form of C2 add two such extents: the
+/// sums saturate instead of overflowing. On the 2^63-wide chip, `a` and
+/// `b` cannot sit side by side and stack; over a horizon of 2^64 − 1,
+/// two 2^63-cycle modules cannot run one after the other and overlap.
+#[test]
+fn search_sets_up_modules_whose_extents_sum_past_u64() {
+    use recopack::model::{Instance, Task};
+    use recopack::solver::SolveOutcome;
+    let half = 1u64 << 63;
+    let wide = Instance::builder()
+        .chip(Chip::square(half))
+        .horizon(2)
+        .task(Task::new("a", half, 1, 1))
+        .task(Task::new("b", half, 1, 1))
+        .task(Task::new("c", 1, 1, 2))
+        .build()
+        .expect("valid");
+    let long = Instance::builder()
+        .chip(Chip::square(4))
+        .horizon(u64::MAX)
+        .task(Task::new("a", 1, 1, half))
+        .task(Task::new("b", 1, 1, half))
+        .build()
+        .expect("valid");
+    let config = SolverConfig {
+        use_bounds: false,
+        use_heuristics: false,
+        ..SolverConfig::default()
+    };
+    for instance in [wide, long] {
+        match Opp::new(&instance).with_config(config.clone()).solve() {
+            SolveOutcome::Feasible(placement) => {
+                assert_eq!(placement.verify(&instance), Ok(()));
+            }
+            other => panic!("feasible, got {other:?}"),
+        }
+    }
+}
