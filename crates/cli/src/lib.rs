@@ -38,9 +38,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use recopack_core::{
-    pareto_front_with_stats, per_second, Bmp, EventTotals, Fanout, FileJournal, Opp,
-    ProgressCounters, Sampler, SolveOutcome, SolveReport, SolverConfig, SolverStats, Spp,
-    Telemetry, TelemetrySink, SAMPLER_DEFAULT_HZ,
+    pareto_front_with_stats, per_second, Bmp, FileJournal, Opp, Sampler, SolveOutcome, SolveReport,
+    SolverConfig, SolverStats, Spp, Telemetry, SAMPLER_DEFAULT_HZ,
 };
 use recopack_model::{benchmarks, format, render, Chip, Instance, Placement};
 
@@ -449,7 +448,6 @@ struct ReportMeta<'a> {
     outcome: String,
     decisions: u32,
     started: Instant,
-    events: Option<EventTotals>,
     journal_dropped: Option<u64>,
 }
 
@@ -474,7 +472,6 @@ fn write_report(
         nodes_per_sec: per_sec(stats.nodes),
         propagation_events_per_sec: per_sec(stats.propagation_events),
         stats: stats.clone(),
-        events: meta.events,
         journal_dropped: meta.journal_dropped,
     };
     let mut text = report.to_json();
@@ -482,21 +479,28 @@ fn write_report(
     std::fs::write(path, text).map_err(|e| CliError::runtime(format!("cannot write {path}: {e}")))
 }
 
-/// The per-solve observability session: the `--trace` NDJSON journal, the
-/// event counters backing `--progress` and the report's `events` totals,
-/// and the live reporter thread. [`finish`] tears everything down and
-/// returns what belongs in the [`SolveReport`].
+/// The per-solve observability session: the `--trace` NDJSON journal,
+/// the live `--progress` reporter, which reads the solve handle of the
+/// configuration it was started for, and the `--sample-profile` sampler.
+/// [`finish`] tears them down and returns the journal's dropped count for
+/// the [`SolveReport`].
 ///
 /// [`finish`]: TraceSession::finish
 struct TraceSession {
     journal: Option<Arc<FileJournal>>,
-    counters: Option<Arc<ProgressCounters>>,
     reporter: Option<progress::Reporter>,
     trace_path: Option<String>,
+    sampling: SampleSession,
 }
 
 impl TraceSession {
-    fn start(options: &Options, instance: &Instance) -> Result<Self, CliError> {
+    /// Opens the journal and starts the reporter and the sampler for a
+    /// solve under `config`, installing the journal as its telemetry sink.
+    fn start(
+        options: &Options,
+        instance: &Instance,
+        config: &mut SolverConfig,
+    ) -> Result<Self, CliError> {
         let journal = match &options.trace {
             Some(path) => Some(Arc::new(
                 FileJournal::create(std::path::Path::new(path)).map_err(|e| {
@@ -505,70 +509,49 @@ impl TraceSession {
             )),
             None => None,
         };
-        // Counters ride along whenever any observability was requested, so
-        // the stats report can carry event totals.
-        let counters = (journal.is_some() || options.progress.is_some())
-            .then(|| Arc::new(ProgressCounters::new()));
-        let reporter = match (&counters, options.progress) {
-            (Some(counters), Some(interval)) => {
-                // A bare `--progress` is pointless when stderr is piped; an
-                // explicit interval is taken as "I know what I'm doing".
-                if interval.is_some() || std::io::stderr().is_terminal() {
-                    let n = instance.task_count() as u64;
-                    let total_slots = 3 * n * n.saturating_sub(1) / 2;
-                    Some(progress::Reporter::start(
-                        counters.clone(),
-                        Duration::from_millis(interval.unwrap_or(200).max(1)),
-                        total_slots,
-                    ))
-                } else {
-                    None
-                }
+        if let Some(journal) = &journal {
+            config.telemetry = Telemetry::to(journal.clone());
+        }
+        // A bare `--progress` is pointless when stderr is piped; an
+        // explicit interval is taken as "I know what I'm doing".
+        let reporter = match options.progress {
+            Some(interval) if interval.is_some() || std::io::stderr().is_terminal() => {
+                let n = instance.task_count() as u64;
+                let total_slots = 3 * n * n.saturating_sub(1) / 2;
+                Some(progress::Reporter::start(
+                    config.handle.clone(),
+                    Duration::from_millis(interval.unwrap_or(200).max(1)),
+                    total_slots,
+                ))
             }
             _ => None,
         };
         Ok(Self {
             journal,
-            counters,
             reporter,
             trace_path: options.trace.clone(),
+            sampling: SampleSession::start(options),
         })
     }
 
-    /// The telemetry handle to install into the solver configuration.
-    fn telemetry(&self) -> Telemetry {
-        let mut sinks: Vec<Arc<dyn TelemetrySink>> = Vec::new();
-        if let Some(journal) = &self.journal {
-            sinks.push(journal.clone());
-        }
-        if let Some(counters) = &self.counters {
-            sinks.push(counters.clone());
-        }
-        match sinks.len() {
-            0 => Telemetry::none(),
-            1 => Telemetry::to(sinks.remove(0)),
-            _ => Telemetry::to(Arc::new(Fanout::new(sinks))),
-        }
-    }
-
-    /// Stops the reporter, flushes the journal, and returns the event
-    /// totals and the journal's dropped count for the stats report.
-    fn finish(mut self) -> Result<(Option<EventTotals>, Option<u64>), CliError> {
+    /// Stops the reporter and the sampler (its summary goes to `out`),
+    /// flushes the journal, and returns the journal's dropped count for
+    /// the stats report.
+    fn finish(mut self, out: &mut String) -> Result<Option<u64>, CliError> {
         if let Some(reporter) = self.reporter.take() {
             reporter.finish();
         }
-        let totals = self.counters.as_ref().map(|c| c.snapshot());
-        let dropped = match &self.journal {
+        self.sampling.finish(out)?;
+        match &self.journal {
             Some(journal) => {
                 journal.flush().map_err(|e| {
                     let path = self.trace_path.as_deref().unwrap_or("<trace>");
                     CliError::runtime(format!("cannot write trace file {path}: {e}"))
                 })?;
-                Some(journal.dropped())
+                Ok(Some(journal.dropped()))
             }
-            None => None,
-        };
-        Ok((totals, dropped))
+            None => Ok(None),
+        }
     }
 }
 
@@ -591,8 +574,8 @@ impl SampleSession {
         }
     }
 
-    fn finish(self, out: &mut String) -> Result<(), CliError> {
-        let Some(sampler) = self.sampler else {
+    fn finish(&mut self, out: &mut String) -> Result<(), CliError> {
+        let Some(sampler) = self.sampler.take() else {
             return Ok(());
         };
         let profile = sampler.stop();
@@ -660,14 +643,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         [] | ["help"] => out.push_str(USAGE),
         ["solve", path] => {
             let instance = load_instance(path, &options)?;
-            let session = TraceSession::start(&options, &instance)?;
-            let sampling = SampleSession::start(&options);
-            let started = Instant::now();
             let mut config = options.solver_config();
-            config.telemetry = session.telemetry();
+            let session = TraceSession::start(&options, &instance, &mut config)?;
+            let started = Instant::now();
             let (outcome, stats) = Opp::new(&instance).with_config(config).solve_with_stats();
-            let (events, journal_dropped) = session.finish()?;
-            sampling.finish(&mut out)?;
+            let journal_dropped = session.finish(&mut out)?;
             let label = match &outcome {
                 SolveOutcome::Feasible(_) => "feasible".to_string(),
                 SolveOutcome::Infeasible(_) => "infeasible".to_string(),
@@ -681,7 +661,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     outcome: label,
                     decisions: 1,
                     started,
-                    events,
                     journal_dropped,
                 },
                 &stats,
@@ -708,14 +687,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         ["bmp", path] => {
             let instance = load_instance(path, &options)?;
-            let session = TraceSession::start(&options, &instance)?;
-            let sampling = SampleSession::start(&options);
-            let started = Instant::now();
             let mut config = options.solver_config();
-            config.telemetry = session.telemetry();
+            let session = TraceSession::start(&options, &instance, &mut config)?;
+            let started = Instant::now();
             let result = Bmp::new(&instance).with_config(config).solve();
-            let (events, journal_dropped) = session.finish()?;
-            sampling.finish(&mut out)?;
+            let journal_dropped = session.finish(&mut out)?;
             let result = result.ok_or_else(|| {
                 CliError::runtime("no chip admits the deadline (critical path too long)")
             })?;
@@ -727,7 +703,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     outcome: format!("side {}", result.side),
                     decisions: result.decisions,
                     started,
-                    events,
                     journal_dropped,
                 },
                 &result.stats,
@@ -745,14 +720,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         ["spp", path] => {
             let instance = load_instance(path, &options)?;
-            let session = TraceSession::start(&options, &instance)?;
-            let sampling = SampleSession::start(&options);
-            let started = Instant::now();
             let mut config = options.solver_config();
-            config.telemetry = session.telemetry();
+            let session = TraceSession::start(&options, &instance, &mut config)?;
+            let started = Instant::now();
             let result = Spp::new(&instance).with_config(config).solve();
-            let (events, journal_dropped) = session.finish()?;
-            sampling.finish(&mut out)?;
+            let journal_dropped = session.finish(&mut out)?;
             // The CLI sets no budget: without an answer, either a module is
             // too large for the chip or no makespan within u64 fits.
             let result = result.ok_or_else(|| {
@@ -775,7 +747,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     outcome: format!("makespan {}", result.makespan),
                     decisions: result.decisions,
                     started,
-                    events,
                     journal_dropped,
                 },
                 &result.stats,
@@ -792,14 +763,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         ["pareto", path] => {
             let instance = load_instance(path, &options)?;
-            let session = TraceSession::start(&options, &instance)?;
-            let sampling = SampleSession::start(&options);
-            let started = Instant::now();
             let mut config = options.solver_config();
-            config.telemetry = session.telemetry();
+            let session = TraceSession::start(&options, &instance, &mut config)?;
+            let started = Instant::now();
             let result = pareto_front_with_stats(&instance, &config);
-            let (events, journal_dropped) = session.finish()?;
-            sampling.finish(&mut out)?;
+            let journal_dropped = session.finish(&mut out)?;
             let (front, stats, decisions) =
                 result.ok_or_else(|| CliError::runtime("resource limit reached"))?;
             write_report(
@@ -810,7 +778,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     outcome: format!("{} pareto points", front.len()),
                     decisions,
                     started,
-                    events,
                     journal_dropped,
                 },
                 &stats,
@@ -1196,7 +1163,7 @@ mod tests {
             run(&args(&[command, p, "--stats-json", rp])).expect("runs");
             let json = std::fs::read_to_string(&report_path).expect("report written");
             assert!(
-                json.starts_with("{\"schema_version\":2"),
+                json.starts_with("{\"schema_version\":3"),
                 "{command}: {json}"
             );
             assert!(
@@ -1207,8 +1174,7 @@ mod tests {
             assert!(json.contains("\"conflicts\":{"), "{command}: {json}");
             assert!(json.contains("\"depth_histogram\":["), "{command}: {json}");
             assert!(json.contains("\"timings\":{"), "{command}: {json}");
-            // No trace session was active, so the optional fields are null.
-            assert!(json.contains("\"events\":null"), "{command}: {json}");
+            // No journal was installed, so its dropped count is null.
             assert!(
                 json.contains("\"journal_dropped\":null"),
                 "{command}: {json}"
@@ -1273,15 +1239,17 @@ mod tests {
             Json::parse(line).expect("valid NDJSON line");
         }
 
-        // The stats report carries event totals and the dropped count.
+        // The stats report carries the journal's dropped count.
         let report = Json::parse(
             std::fs::read_to_string(&report_path)
                 .expect("report written")
                 .trim(),
         )
         .expect("report parses");
-        let events = report.get("events").expect("events totals present");
-        let branches = events.get("branch").and_then(Json::as_u64).expect("branch");
+        let branches = ndjson
+            .lines()
+            .filter(|line| line.contains("\"event\":\"branch\""))
+            .count() as u64;
         assert!(branches > 0);
         assert_eq!(
             report.get("journal_dropped").and_then(Json::as_u64),
@@ -1344,7 +1312,7 @@ mod tests {
         assert!(count("B") > 0);
         assert_eq!(count("B"), count("E"), "all slices closed");
 
-        // Folded node weights sum to the branch total from the report.
+        // Folded node weights sum to the journal's branch events.
         let folded = std::fs::read_to_string(&folded_path).expect("folded written");
         let weight_sum: u64 = folded
             .lines()

@@ -1,5 +1,5 @@
 //! The live `--progress` reporter: a sampler thread that periodically reads
-//! a [`ProgressCounters`] sink and rewrites one stderr status line, e.g.
+//! the solve's [`SolveHandle`] and rewrites one stderr status line, e.g.
 //!
 //! ```text
 //! nodes 1.2M (410.0k/s) · depth 14/31 · prunes c2:62% c3:20% · elapsed 12.4s
@@ -7,15 +7,15 @@
 //!
 //! The line is rewritten in place (`\r` + clear-to-end), so it only makes
 //! sense on a terminal; the CLI auto-disables it when stderr is not a TTY
-//! unless an explicit interval forces it. On finish the final totals are
-//! printed and terminated with a newline, leaving the scrollback clean.
+//! unless an explicit interval forces it. On finish the final totals (the
+//! solve's exact node count and average rate) are printed and terminated
+//! with a newline, leaving the scrollback clean.
 
 use std::io::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
-use recopack_core::{EventTotals, ProgressCounters, PruneRule};
+use recopack_core::{PruneRule, SolveHandle, SolveProgress};
 
 /// Formats a count with a metric suffix (`1234` → `1.2k`).
 fn human(n: u64) -> String {
@@ -28,20 +28,17 @@ fn human(n: u64) -> String {
 }
 
 /// Renders one status line from a snapshot.
-fn status_line(totals: &EventTotals, rate: f64, total_slots: u64, elapsed: Duration) -> String {
+fn status_line(progress: &SolveProgress, rate: f64, total_slots: u64, elapsed: Duration) -> String {
     use std::fmt::Write as _;
-    let mut line = format!(
-        "nodes {} ({}/s)",
-        human(totals.branches),
-        human(rate as u64)
-    );
-    let _ = write!(line, " · depth {}/{}", totals.max_depth, total_slots);
-    let prunes = totals.prunes_total();
+    let mut line = format!("nodes {} ({}/s)", human(progress.nodes), human(rate as u64));
+    let levels = progress.max_depth.map_or(0, |depth| depth + 1);
+    let _ = write!(line, " · depth {levels}/{total_slots}");
+    let prunes: u64 = progress.conflicts.iter().sum();
     if prunes > 0 {
         line.push_str(" · prunes");
         let mut rules: Vec<(PruneRule, u64)> = PruneRule::ALL
             .into_iter()
-            .map(|r| (r, totals.prunes[r.index()]))
+            .map(|r| (r, progress.conflicts[r.index()]))
             .filter(|(_, n)| *n > 0)
             .collect();
         rules.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
@@ -63,56 +60,46 @@ fn status_line(totals: &EventTotals, rate: f64, total_slots: u64, elapsed: Durat
 ///
 /// [`finish`]: Reporter::finish
 pub(crate) struct Reporter {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    /// Dropped to stop the sampler: the disconnect wakes it at once, so
+    /// stopping never waits out a redraw interval.
+    stop: Option<mpsc::Sender<()>>,
+    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Reporter {
-    /// Starts the sampler over `counters`, redrawing every `interval`.
+    /// Starts the sampler over `handle`, redrawing every `interval`.
     /// `total_slots` is the depth budget shown as `depth <max>/<total>`
     /// (three dimensions times the number of task pairs).
-    pub(crate) fn start(
-        counters: Arc<ProgressCounters>,
-        interval: Duration,
-        total_slots: u64,
-    ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = stop.clone();
-        let handle = std::thread::Builder::new()
+    pub(crate) fn start(handle: SolveHandle, interval: Duration, total_slots: u64) -> Self {
+        let (stop, stopped) = mpsc::channel::<()>();
+        let thread = std::thread::Builder::new()
             .name("recopack-progress".to_string())
             .spawn(move || {
                 let started = Instant::now();
                 let mut last = (Instant::now(), 0u64);
-                while !stop_flag.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval.min(Duration::from_millis(50)));
-                    if stop_flag.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if last.0.elapsed() < interval {
-                        continue;
-                    }
-                    let totals = counters.snapshot();
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                    let progress = handle.progress();
                     let dt = last.0.elapsed().as_secs_f64();
-                    let rate = (totals.branches - last.1) as f64 / dt.max(1e-9);
-                    last = (Instant::now(), totals.branches);
-                    let line = status_line(&totals, rate, total_slots, started.elapsed());
+                    let rate = (progress.nodes - last.1) as f64 / dt.max(1e-9);
+                    last = (Instant::now(), progress.nodes);
+                    let line = status_line(&progress, rate, total_slots, started.elapsed());
                     let mut err = std::io::stderr().lock();
                     let _ = write!(err, "\r\x1b[K{line}");
                     let _ = err.flush();
                 }
                 // Final totals, average rate, then release the line.
-                let totals = counters.snapshot();
+                let progress = handle.progress();
                 let elapsed = started.elapsed();
-                let rate = totals.branches as f64 / elapsed.as_secs_f64().max(1e-9);
-                let line = status_line(&totals, rate, total_slots, elapsed);
+                let rate = progress.nodes as f64 / elapsed.as_secs_f64().max(1e-9);
+                let line = status_line(&progress, rate, total_slots, elapsed);
                 let mut err = std::io::stderr().lock();
                 let _ = writeln!(err, "\r\x1b[K{line}");
                 let _ = err.flush();
             })
             .expect("progress thread spawns");
         Self {
-            stop,
-            handle: Some(handle),
+            stop: Some(stop),
+            thread: Some(thread),
         }
     }
 
@@ -122,9 +109,9 @@ impl Reporter {
     }
 
     fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        drop(self.stop.take());
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
     }
 }
@@ -149,13 +136,13 @@ mod tests {
 
     #[test]
     fn status_line_shows_the_dominant_rules() {
-        let totals = EventTotals {
-            branches: 1_200_000,
-            prunes: [620, 200, 10, 0],
-            max_depth: 14,
-            ..EventTotals::default()
+        let progress = SolveProgress {
+            nodes: 1_200_000,
+            conflicts: [620, 200, 10, 0],
+            max_depth: Some(13),
+            ..SolveProgress::default()
         };
-        let line = status_line(&totals, 410_000.0, 31, Duration::from_millis(12_400));
+        let line = status_line(&progress, 410_000.0, 31, Duration::from_millis(12_400));
         assert!(line.contains("nodes 1.2M"), "{line}");
         assert!(line.contains("(410.0k/s)"), "{line}");
         assert!(line.contains("depth 14/31"), "{line}");
@@ -167,8 +154,7 @@ mod tests {
 
     #[test]
     fn reporter_stops_cleanly() {
-        let counters = Arc::new(ProgressCounters::new());
-        let reporter = Reporter::start(counters, Duration::from_millis(5), 10);
+        let reporter = Reporter::start(SolveHandle::new(), Duration::from_millis(5), 10);
         std::thread::sleep(Duration::from_millis(20));
         reporter.finish();
     }

@@ -1,6 +1,6 @@
 //! Solver configuration and search statistics.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -8,50 +8,199 @@ use recopack_bounds::BoundKind;
 
 use crate::telemetry::Telemetry;
 
-/// A cooperative cancellation handle for a running solve.
+/// Depth slots of a [`SolveHandle`]'s node profile; deeper nodes count in
+/// the last one, so the profile stays a fixed set of atomics.
+pub(crate) const DEPTH_SLOTS: usize = 32;
+
+/// The live view of a solve: its cancellation flag and search counters.
 ///
-/// Clone the token, hand one copy to [`SolverConfig::cancel`], keep the
-/// other, and call [`cancel`](CancelToken::cancel) from any thread: every
-/// worker of the search observes the flag at its regular budget checkpoints
-/// (node entry and in-cascade polls) and unwinds with
-/// [`SolveOutcome::ResourceLimit`](crate::SolveOutcome::ResourceLimit)`(`[`LimitKind::Cancelled`]`)`.
-/// Cancellation is level-triggered and sticky: once cancelled, a token stays
-/// cancelled, and every solve sharing it stops.
+/// Clone the handle into [`SolverConfig::handle`], keep a copy, and call
+/// [`cancel`](SolveHandle::cancel) or [`progress`](SolveHandle::progress)
+/// from any thread. Every worker polls the flag at its budget checkpoints
+/// and unwinds with [`LimitKind::Cancelled`]; cancellation is sticky and
+/// stops every solve sharing the handle.
 ///
-/// The default token is never cancelled and costs one relaxed atomic load
-/// per budget check. Equality compares token *identity* (same shared flag),
-/// which keeps [`SolverConfig`] `Eq` — two independently created tokens are
-/// never equal, a token always equals its clones.
+/// Each search worker adds its [`SolverStats`] deltas to the handle every
+/// 64 of its own nodes and when it leaves the search, with relaxed atomic
+/// adds only: no clock read, no lock, no allocation. While a solve runs
+/// every value only rises, lagging each worker by at most 63 nodes. Once
+/// it returns, the handle reads [`SolveProgress::of`] the merged stats,
+/// at every thread count. BMP, SPP, fixed-schedule and Pareto solvers
+/// clone the caller's configuration per decision, so the handle sums
+/// their decisions. Equality is identity, which keeps [`SolverConfig`]
+/// `Eq`: a handle equals its clones and nothing else.
 #[derive(Clone, Debug, Default)]
-pub struct CancelToken {
-    cancelled: Arc<AtomicBool>,
+pub struct SolveHandle(Arc<HandleState>);
+
+#[derive(Debug, Default)]
+struct HandleState {
+    cancelled: AtomicBool,
+    counts: [AtomicU64; COUNTS],
+    searches: AtomicU64,
+    /// The deepest branching level reached plus one; 0 before any node.
+    levels: AtomicU64,
+    depths: [AtomicU64; DEPTH_SLOTS],
 }
 
-impl CancelToken {
-    /// A fresh, not-yet-cancelled token.
+/// How many [`SolverStats`] counters a handle carries (see [`counts`]).
+const COUNTS: usize = 8;
+
+/// The handle's counters of `stats`: nodes, leaves, leaf rejections,
+/// propagation events, then the conflicts in
+/// [`PruneRule::index`](crate::PruneRule::index) order.
+fn counts(stats: &SolverStats) -> [u64; COUNTS] {
+    [
+        stats.nodes,
+        stats.leaves,
+        stats.leaf_rejections,
+        stats.propagation_events,
+        stats.c2_conflicts,
+        stats.c3_conflicts,
+        stats.c4_conflicts,
+        stats.orientation_conflicts,
+    ]
+}
+
+/// The counters one search worker has added to its handle, plus the nodes
+/// per depth slot it expanded since.
+#[derive(Debug, Default)]
+pub(crate) struct Published {
+    counts: [u64; COUNTS],
+    fresh_depths: [u64; DEPTH_SLOTS],
+}
+
+impl Published {
+    /// Counts one node at branching `depth` toward the next publication.
+    pub(crate) fn count_node(&mut self, depth: usize) {
+        self.fresh_depths[depth.min(DEPTH_SLOTS - 1)] += 1;
+    }
+}
+
+impl SolveHandle {
+    /// A fresh handle: not cancelled, every counter zero.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Requests cancellation: every search polling this token unwinds at
+    /// Requests cancellation: every search polling this handle unwinds at
     /// its next budget checkpoint.
     pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Relaxed);
+        self.0.cancelled.store(true, Ordering::Relaxed);
     }
 
-    /// Whether [`cancel`](CancelToken::cancel) has been called.
+    /// Whether [`cancel`](SolveHandle::cancel) has been called.
     pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
+        self.0.cancelled.load(Ordering::Relaxed)
+    }
+
+    /// The counters published so far.
+    pub fn progress(&self) -> SolveProgress {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        SolveProgress::new(
+            self.0.counts.each_ref().map(load),
+            load(&self.0.searches),
+            (load(&self.0.levels) as usize).checked_sub(1),
+            self.0.depths.each_ref().map(load),
+        )
+    }
+
+    /// Adds what a worker counted since its last publication; `stats` are
+    /// its running totals.
+    pub(crate) fn publish(&self, stats: &SolverStats, published: &mut Published) {
+        let now = counts(stats).into_iter().zip(&mut published.counts);
+        for (counter, (now, was)) in self.0.counts.iter().zip(now) {
+            if now > *was {
+                counter.fetch_add(now - *was, Ordering::Relaxed);
+                *was = now;
+            }
+        }
+        for (counter, fresh) in self.0.depths.iter().zip(&mut published.fresh_depths) {
+            if *fresh > 0 {
+                counter.fetch_add(std::mem::take(fresh), Ordering::Relaxed);
+            }
+        }
+        let levels = stats.depth_histogram.len() as u64;
+        self.0.levels.fetch_max(levels, Ordering::Relaxed);
+    }
+
+    /// Counts one finished search.
+    pub(crate) fn finish_search(&self) {
+        self.0.searches.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-impl PartialEq for CancelToken {
+impl PartialEq for SolveHandle {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.cancelled, &other.cancelled)
+        Arc::ptr_eq(&self.0, &other.0)
     }
 }
 
-impl Eq for CancelToken {}
+impl Eq for SolveHandle {}
+
+/// A snapshot of a [`SolveHandle`]: the [`SolverStats`] counters it
+/// carries, under their names, plus finished searches and nodes per depth.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolveProgress {
+    /// Search-tree nodes expanded.
+    pub nodes: u64,
+    /// Leaves reaching the full realization check.
+    pub leaves: u64,
+    /// Leaves rejected by realization or verification.
+    pub leaf_rejections: u64,
+    /// Propagation events processed.
+    pub propagation_events: u64,
+    /// Conflicts per propagation rule, indexed by
+    /// [`PruneRule::index`](crate::PruneRule::index).
+    pub conflicts: [u64; 4],
+    /// Searches run to their end: one per decision that reached the search.
+    pub searches_finished: u64,
+    /// The deepest branching level reached, if any node was expanded.
+    pub max_depth: Option<usize>,
+    /// Nodes per branching depth; the last slot counts every deeper level.
+    pub depths: [u64; DEPTH_SLOTS],
+}
+
+impl SolveProgress {
+    /// What a handle reads after `searches_finished` searches whose merged
+    /// statistics are `stats`.
+    pub fn of(stats: &SolverStats, searches_finished: u64) -> Self {
+        let mut depths = [0; DEPTH_SLOTS];
+        for (depth, &count) in stats.depth_histogram.iter().enumerate() {
+            depths[depth.min(DEPTH_SLOTS - 1)] += count;
+        }
+        Self::new(counts(stats), searches_finished, stats.max_depth(), depths)
+    }
+
+    /// Names the counters of a [`counts`] array.
+    fn new(
+        counts: [u64; COUNTS],
+        searches_finished: u64,
+        max_depth: Option<usize>,
+        depths: [u64; DEPTH_SLOTS],
+    ) -> Self {
+        let [nodes, leaves, leaf_rejections, propagation_events, c2, c3, c4, orientation] = counts;
+        Self {
+            nodes,
+            leaves,
+            leaf_rejections,
+            propagation_events,
+            conflicts: [c2, c3, c4, orientation],
+            searches_finished,
+            max_depth,
+            depths,
+        }
+    }
+
+    /// [`depths`](SolveProgress::depths) without its trailing zero slots.
+    pub fn depth_profile(&self) -> &[u64] {
+        let len = self
+            .depths
+            .iter()
+            .rposition(|&n| n > 0)
+            .map_or(0, |d| d + 1);
+        &self.depths[..len]
+    }
+}
 
 /// Tunables of the packing-class search.
 ///
@@ -77,10 +226,6 @@ pub struct SolverConfig {
     pub node_limit: Option<u64>,
     /// Give up after this much wall time (`None` = unlimited).
     pub time_limit: Option<Duration>,
-    /// Branch on the component ("overlap") choice first. The default tries
-    /// comparability (disjointness) first: feasible leaves are reached far
-    /// faster, while exhaustive infeasibility proofs are order-insensitive.
-    pub component_first: bool,
     /// Symmetry breaking for *twin* tasks (identical shape, identical
     /// precedence relations, no arc between them): when a twin pair is
     /// time-separated, the lower-id task goes first. Sound because swapping
@@ -123,11 +268,12 @@ pub struct SolverConfig {
     /// informational — unlike the event *counts*, they are not
     /// thread-count invariant (see DESIGN.md, "Tracing and profiling").
     pub profile: bool,
-    /// Cooperative cancellation handle, polled at every budget checkpoint.
-    /// The default token is never cancelled; install a clone of a caller-held
-    /// [`CancelToken`] to stop a solve from outside (the `recopack serve`
-    /// job daemon uses this for `DELETE /jobs/{id}`).
-    pub cancel: CancelToken,
+    /// The solve's live view: a cancellation flag polled at every budget
+    /// checkpoint plus the search counters the workers publish. Install a
+    /// clone of a caller-held [`SolveHandle`] to watch or stop a solve from
+    /// outside (`recopack serve` does both for `/jobs/{id}/progress` and
+    /// `DELETE /jobs/{id}`; the CLI's `--progress` reads it).
+    pub handle: SolveHandle,
 }
 
 impl Default for SolverConfig {
@@ -141,14 +287,13 @@ impl Default for SolverConfig {
             must_overlap_rule: true,
             node_limit: None,
             time_limit: None,
-            component_first: false,
             twin_symmetry: true,
             threads: 1,
             split_after_nodes: 256,
             split_backlog: 0,
             telemetry: Telemetry::none(),
             profile: false,
-            cancel: CancelToken::new(),
+            handle: SolveHandle::new(),
         }
     }
 }
@@ -166,14 +311,13 @@ impl SolverConfig {
             must_overlap_rule: false,
             node_limit: None,
             time_limit: None,
-            component_first: false,
             twin_symmetry: false,
             threads: 1,
             split_after_nodes: 256,
             split_backlog: 0,
             telemetry: Telemetry::none(),
             profile: false,
-            cancel: CancelToken::new(),
+            handle: SolveHandle::new(),
         }
     }
 
@@ -196,7 +340,7 @@ pub enum LimitKind {
     Nodes,
     /// [`SolverConfig::time_limit`] elapsed.
     Time,
-    /// [`SolverConfig::cancel`] was cancelled from outside.
+    /// [`SolverConfig::handle`] was cancelled from outside.
     Cancelled,
 }
 
@@ -483,17 +627,54 @@ mod tests {
     }
 
     #[test]
-    fn cancel_token_is_sticky_and_shared_between_clones() {
-        let token = CancelToken::new();
-        assert!(!token.is_cancelled());
-        let clone = token.clone();
-        assert_eq!(token, clone);
+    fn handle_cancellation_is_sticky_and_shared_between_clones() {
+        let handle = SolveHandle::new();
+        assert!(!handle.is_cancelled());
+        let clone = handle.clone();
+        assert_eq!(handle, clone);
         clone.cancel();
-        assert!(token.is_cancelled());
+        assert!(handle.is_cancelled());
         clone.cancel();
         assert!(clone.is_cancelled());
-        // A freshly created token is a distinct cancellation domain.
-        assert_ne!(token, CancelToken::new());
+        // A freshly created handle is a distinct solve.
+        assert_ne!(handle, SolveHandle::new());
+    }
+
+    #[test]
+    fn handle_publishes_deltas_and_clamps_deep_nodes_into_the_last_slot() {
+        let handle = SolveHandle::new();
+        assert_eq!(handle.progress(), SolveProgress::default());
+        let (mut stats, mut published) = (SolverStats::default(), Published::default());
+        for depth in [
+            0,
+            2,
+            2,
+            DEPTH_SLOTS - 1,
+            DEPTH_SLOTS,
+            DEPTH_SLOTS + 1,
+            1_000,
+        ] {
+            stats.record_node(depth);
+            published.count_node(depth);
+        }
+        stats.c3_conflicts = 2;
+        handle.publish(&stats, &mut published);
+        let progress = handle.progress();
+        assert_eq!(progress, SolveProgress::of(&stats, 0));
+        let profile = progress.depth_profile();
+        assert_eq!(profile.len(), DEPTH_SLOTS, "the profile never grows");
+        assert_eq!(profile[..3], [1, 0, 2]);
+        // The last in-range depth and everything beyond it share a slot.
+        assert_eq!(profile[DEPTH_SLOTS - 1], 4);
+        assert_eq!(progress.max_depth, Some(1_000));
+        // Unchanged totals add nothing; new counts add once.
+        handle.publish(&stats, &mut published);
+        assert_eq!(handle.progress(), progress);
+        stats.record_node(1);
+        published.count_node(1);
+        handle.finish_search();
+        handle.publish(&stats, &mut published);
+        assert_eq!(handle.progress(), SolveProgress::of(&stats, 1));
     }
 
     #[test]

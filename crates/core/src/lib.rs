@@ -63,12 +63,12 @@ pub mod telemetry;
 
 pub use beacon::{Profile, Sampler, DEFAULT_HZ as SAMPLER_DEFAULT_HZ};
 pub use bmp::{Bmp, BmpResult};
-pub use config::{CancelToken, LimitKind, SolverConfig, SolverStats};
+pub use config::{LimitKind, SolveHandle, SolveProgress, SolverConfig, SolverStats};
 pub use fixeds::FixedSchedule;
 pub use opp::{InfeasibilityProof, Opp, SolveOutcome};
 pub use pareto::{pareto_front, pareto_front_with_stats, ParetoPoint};
 pub use spp::{Spp, SppResult};
 pub use telemetry::{
-    per_second, EventKind, EventTotals, Fanout, FileJournal, MemoryJournal, ProgressCounters,
-    PruneRule, SearchEvent, SolveReport, Telemetry, TelemetrySink, TELEMETRY_SCHEMA_VERSION,
+    per_second, EventKind, FileJournal, MemoryJournal, PruneRule, SearchEvent, SolveReport,
+    Telemetry, TelemetrySink, TELEMETRY_SCHEMA_VERSION,
 };

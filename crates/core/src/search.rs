@@ -28,7 +28,7 @@ use recopack_order::interval::realize_from_order;
 use recopack_order::orientation::transitively_orient_extending;
 
 use crate::beacon::{self, ActivityBeacon, Phase as BeaconPhase};
-use crate::config::{LimitKind, SolverConfig, SolverStats};
+use crate::config::{LimitKind, Published, SolverConfig, SolverStats};
 use crate::state::{EdgeState, Orient, PackingState};
 use crate::telemetry::{EventKind, PruneRule, SearchEvent};
 
@@ -451,10 +451,12 @@ impl<'a> Search<'a> {
     }
 
     /// Runs the complete search once, returning the result and the
-    /// statistics aggregated over every thread.
+    /// statistics aggregated over every thread (which the solve handle
+    /// then holds too; it also counts the finished search).
     pub(crate) fn run(&self) -> (SearchResult, SolverStats) {
         let (result, stats) = self.run_inner();
-        self.ctx.config.telemetry.finish(&stats);
+        self.ctx.config.handle.finish_search();
+        self.ctx.config.telemetry.finish();
         (result, stats)
     }
 
@@ -479,6 +481,7 @@ impl<'a> Search<'a> {
                 Some(kind) => SearchResult::Limit(kind),
                 None => SearchResult::Infeasible,
             };
+            root.publish();
             return (result, root.stats);
         }
         let threads = self.ctx.config.effective_threads();
@@ -488,6 +491,7 @@ impl<'a> Search<'a> {
                 Ok(None) => SearchResult::Infeasible,
                 Err(()) => self.limit_result(),
             };
+            root.publish();
             return (result, root.stats);
         }
         self.run_parallel(root, threads)
@@ -505,9 +509,10 @@ impl<'a> Search<'a> {
     /// [`Search::finalize`] combines the least feasible leaf with the
     /// least abandoned subtree — exactly the information needed to name
     /// the sequential answer.
-    fn run_parallel(&self, root: Worker<'_>, threads: usize) -> (SearchResult, SolverStats) {
+    fn run_parallel(&self, mut root: Worker<'_>, threads: usize) -> (SearchResult, SolverStats) {
         // The root worker's state (already seeded and propagated) becomes
         // the first work unit; its stats seed the merged totals.
+        root.publish();
         let Worker {
             state,
             cursor,
@@ -534,6 +539,7 @@ impl<'a> Search<'a> {
             let mut worker = Worker::new(&self.ctx, &self.budget, state, Some(&scheduler));
             worker.spawn = spawn;
             worker.run_queue();
+            worker.publish();
             total
                 .lock()
                 .expect("no poisoned locks")
@@ -629,6 +635,8 @@ struct Worker<'c> {
     budget: &'c SharedBudget,
     state: PackingState,
     stats: SolverStats,
+    /// The part of `stats` already added to the solve handle.
+    published: Published,
     /// The work-stealing scheduler; `None` in sequential mode, where the
     /// per-node scheduler hooks reduce to a single branch.
     scheduler: Option<&'c Scheduler>,
@@ -702,6 +710,7 @@ impl<'c> Worker<'c> {
             budget,
             state,
             stats: SolverStats::default(),
+            published: Published::default(),
             scheduler,
             spawn: None,
             unit: 0,
@@ -739,6 +748,17 @@ impl<'c> Worker<'c> {
         self.beacon_epoch = self.beacon_epoch.wrapping_add(1);
         self.beacon
             .publish(beacon::compose(self.beacon_bits, self.beacon_epoch));
+    }
+
+    /// Adds this worker's counters since its last publication to the solve
+    /// handle: called every 64 of its own nodes and when it leaves the
+    /// search, so the handle lags the worker by at most 63 nodes and
+    /// equals the merged statistics once the search returns.
+    fn publish(&mut self) {
+        self.ctx
+            .config
+            .handle
+            .publish(&self.stats, &mut self.published);
     }
 
     /// Sends one telemetry event (no-op when no sink is configured). The
@@ -940,7 +960,7 @@ impl<'c> Worker<'c> {
                 return Err(Conflict::Stopped);
             }
         }
-        if self.ctx.config.cancel.is_cancelled() {
+        if self.ctx.config.handle.is_cancelled() {
             self.budget.request_stop(LimitKind::Cancelled);
             return Err(Conflict::Stopped);
         }
@@ -1386,7 +1406,7 @@ impl<'c> Worker<'c> {
                 return true;
             }
         }
-        if self.ctx.config.cancel.is_cancelled() {
+        if self.ctx.config.handle.is_cancelled() {
             self.budget.request_stop(LimitKind::Cancelled);
             return true;
         }
@@ -1675,15 +1695,17 @@ impl<'c> Worker<'c> {
             return Ok(self.check_leaf(depth));
         };
         self.stats.record_node(depth as usize);
+        self.published.count_node(depth as usize);
+        if self.stats.nodes.is_multiple_of(64) {
+            self.publish();
+        }
         self.beacon_mark(BeaconPhase::Expand, 0, depth);
         if self.out_of_budget() {
             return Err(());
         }
-        let [first, second] = if self.ctx.config.component_first {
-            [EdgeState::Component, EdgeState::Comparability]
-        } else {
-            [EdgeState::Comparability, EdgeState::Component]
-        };
+        // Comparability (disjointness) first: feasible leaves are reached
+        // far faster, while exhaustive proofs are order-insensitive.
+        let [first, second] = [EdgeState::Comparability, EdgeState::Component];
         let level = self.levels.len();
         self.levels.push(Level {
             slot: (d, p),
@@ -1895,7 +1917,7 @@ mod tests {
     }
 
     #[test]
-    fn pre_cancelled_token_stops_the_search() {
+    fn pre_cancelled_handle_stops_the_search() {
         // Cancellation set before the search starts must surface as a
         // Cancelled limit, not a verdict.
         let i = Instance::builder()
@@ -1905,7 +1927,7 @@ mod tests {
             .build()
             .expect("valid");
         let config = SolverConfig::default();
-        config.cancel.cancel();
+        config.handle.cancel();
         assert!(matches!(
             solve(&i, &config),
             SearchResult::Limit(LimitKind::Cancelled)
@@ -2471,44 +2493,105 @@ mod parallel_tests {
         assert_eq!(p.verify(&pair), Ok(()));
     }
 
-    /// A cancellation token flipped before the parallel search starts must
-    /// surface as `Limit(Cancelled)` — every unit aborts, nothing is
-    /// feasible, and [`Search::finalize`] maps the recorded stop to the
-    /// cause. This pins the documented cancellation semantics.
+    /// A handle cancelled before the parallel search starts must surface
+    /// as `Limit(Cancelled)` — every unit aborts, nothing is feasible, and
+    /// [`Search::finalize`] maps the recorded stop to the cause. This pins
+    /// the documented cancellation semantics.
     #[test]
-    fn parallel_pre_cancelled_token_reports_cancelled() {
+    fn parallel_pre_cancelled_handle_reports_cancelled() {
         let i = grid(6, 4, 9);
         let config = SolverConfig {
             split_after_nodes: 1,
             ..config_with_threads(4)
         };
-        config.cancel.cancel();
+        config.handle.cancel();
         let (r, _) = Search::new(&i, &config).run();
         assert!(matches!(r, SearchResult::Limit(LimitKind::Cancelled)));
     }
 
+    /// A sink that holds the search at each listed event until a second
+    /// thread has passed the barrier twice.
+    struct PauseAt {
+        at: [u64; 3],
+        events: AtomicU64,
+        barrier: std::sync::Barrier,
+    }
+
+    impl crate::telemetry::TelemetrySink for PauseAt {
+        fn record(&self, _: &SearchEvent) {
+            if self
+                .at
+                .contains(&self.events.fetch_add(1, Ordering::Relaxed))
+            {
+                self.barrier.wait();
+                self.barrier.wait();
+            }
+        }
+    }
+
+    /// The handle is a live view: a second thread reads it while the
+    /// `mixed56` proof (five 2x2x2 and six 2x2x1 modules on a 4x4 chip,
+    /// horizon 2) is held at three points. `nodes` rises before the search
+    /// ends and never falls, and the last read equals the merged stats.
+    #[test]
+    fn handle_nodes_rise_while_the_search_runs() {
+        let mut b = Instance::builder().chip(Chip::square(4)).horizon(2);
+        b = b.tasks((0..5).map(|k| Task::new(format!("t{k}"), 2, 2, 2)));
+        b = b.tasks((0..6).map(|k| Task::new(format!("u{k}"), 2, 2, 1)));
+        let i = b.build().expect("valid").with_transitive_closure();
+        let pause = Arc::new(PauseAt {
+            at: [100_000, 200_000, 300_000],
+            events: AtomicU64::new(0),
+            barrier: std::sync::Barrier::new(2),
+        });
+        let config = SolverConfig {
+            telemetry: crate::telemetry::Telemetry::to(pause.clone()),
+            ..config_with_threads(1)
+        };
+        let (stats, reads) = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                pause.at.map(|_| {
+                    pause.barrier.wait();
+                    let nodes = config.handle.progress().nodes;
+                    pause.barrier.wait();
+                    nodes
+                })
+            });
+            let (result, stats) = Search::new(&i, &config).run();
+            assert!(matches!(result, SearchResult::Infeasible));
+            (stats, reader.join().expect("reader thread"))
+        });
+        assert_eq!(stats.nodes, 135_677, "the ledger's mixed56 tree");
+        assert!(0 < reads[0] && reads[2] < stats.nodes, "{reads:?}");
+        assert!(reads[0] < reads[1] && reads[1] < reads[2], "{reads:?}");
+        assert_eq!(
+            config.handle.progress(),
+            crate::config::SolveProgress::of(&stats, 1)
+        );
+    }
+
     /// Mid-search cancellation under forced stealing: on an infeasible
     /// instance the verdict is the `Cancelled` limit — or, if the host is
-    /// fast enough to exhaust the tree before the token flips, the honest
-    /// `Infeasible`. It is never a feasible answer and never a different
-    /// limit kind.
+    /// fast enough to exhaust the tree before the handle is cancelled, the
+    /// honest `Infeasible`. It is never a feasible answer and never a
+    /// different limit kind.
     #[test]
     fn parallel_mid_search_cancellation_is_a_limit() {
-        use crate::config::CancelToken;
+        use crate::config::SolveHandle;
         // Infeasible with a deep tree: seven 2x2x2 tasks, 4x4 chip,
         // horizon 3 (volume 56 > 48).
         let i = grid(7, 4, 3);
         for threads in [2, 4, 8] {
-            let token = CancelToken::new();
+            let handle = SolveHandle::new();
             let config = SolverConfig {
                 split_after_nodes: 1,
-                cancel: token.clone(),
+                handle: handle.clone(),
                 ..config_with_threads(threads)
             };
             std::thread::scope(|scope| {
                 scope.spawn(|| {
                     std::thread::sleep(std::time::Duration::from_millis(2));
-                    token.cancel();
+                    handle.cancel();
                 });
                 let (r, _) = Search::new(&i, &config).run();
                 assert!(

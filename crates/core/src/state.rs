@@ -348,7 +348,7 @@ impl PackingState {
     /// acyclic digraph: only vertices whose label actually grows are
     /// visited, and every overwrite is trail-logged.
     fn relax_from(&mut self, dim: usize, u: usize, v: usize) {
-        let candidate = self.dist[dim][u] + self.sizes[dim][v];
+        let candidate = self.dist[dim][u].saturating_add(self.sizes[dim][v]);
         if candidate <= self.dist[dim][v] {
             return;
         }
@@ -361,7 +361,7 @@ impl PackingState {
             let mut x_from = 0;
             while let Some(x) = self.out[dim][w].next_at_or_after(x_from) {
                 x_from = x + 1;
-                let candidate = base + self.sizes[dim][x];
+                let candidate = base.saturating_add(self.sizes[dim][x]);
                 if candidate > self.dist[dim][x] {
                     self.bump_dist(dim, x, candidate);
                     stack.push(x);
@@ -663,7 +663,7 @@ mod proptests {
         for round in 0..=n {
             let mut changed = false;
             for &(u, v) in arcs {
-                let candidate = dist[u] + size(v);
+                let candidate = dist[u].saturating_add(size(v));
                 if candidate > dist[v] {
                     dist[v] = candidate;
                     changed = true;

@@ -458,7 +458,8 @@ impl BitSet {
         self.debug_check_tail();
     }
 
-    /// Sum of `weights[v]` over the elements of the set.
+    /// Sum of `weights[v]` over the elements of the set, saturating at
+    /// `u64::MAX`: a sum past `u64` reads `u64::MAX`.
     ///
     /// # Panics
     ///
@@ -475,7 +476,7 @@ impl BitSet {
                 while bits != 0 {
                     let b = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    sum += weights[b];
+                    sum = sum.saturating_add(weights[b]);
                 }
                 return sum;
             }
@@ -485,16 +486,16 @@ impl BitSet {
             while bits != 0 {
                 let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                sum += weights[wi * 64 + b];
+                sum = sum.saturating_add(weights[wi * 64 + b]);
             }
         }
         sum
     }
 
     /// Fused kernel: overwrites `self` with `a & b` and returns the weight
-    /// sum of the result in the same pass — the clique search uses it to
-    /// build a child candidate set together with its remaining-weight
-    /// bound.
+    /// sum of the result (saturating, like [`BitSet::weight_sum`]) in the
+    /// same pass — the clique search uses it to build a child candidate
+    /// set together with its remaining-weight bound.
     #[inline]
     pub fn intersect_into_weight_sum(&mut self, a: &BitSet, b: &BitSet, weights: &[u64]) -> u64 {
         debug_assert_eq!(self.capacity, a.capacity);
@@ -511,7 +512,7 @@ impl BitSet {
                 while bits != 0 {
                     let b = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    sum += weights[b];
+                    sum = sum.saturating_add(weights[b]);
                 }
             }
             (Store::Inline(d), Store::Inline(x), Store::Inline(y)) => {
@@ -522,7 +523,7 @@ impl BitSet {
                     while bits != 0 {
                         let b = bits.trailing_zeros() as usize;
                         bits &= bits - 1;
-                        sum += weights[wi * 64 + b];
+                        sum = sum.saturating_add(weights[wi * 64 + b]);
                     }
                 }
             }
@@ -536,7 +537,7 @@ impl BitSet {
                     while bits != 0 {
                         let b = bits.trailing_zeros() as usize;
                         bits &= bits - 1;
-                        sum += weights[wi * 64 + b];
+                        sum = sum.saturating_add(weights[wi * 64 + b]);
                     }
                 }
             }

@@ -194,7 +194,7 @@ fn expand(
     // changes when this frame removes a branched candidate below (children
     // touch `cands[depth + 1..]` only), so re-summing the set per candidate
     // (the old O(n²)-per-node behavior) is never needed.
-    if current_weight + remaining <= *best_weight {
+    if current_weight.saturating_add(remaining) <= *best_weight {
         return;
     }
     // Branch on candidates in decreasing weight order (ties by vertex id,
@@ -206,7 +206,7 @@ fn expand(
     for &v in &order {
         // The bound is checked while `v` still counts toward `remaining`,
         // exactly as the old per-iteration re-sum did.
-        if current_weight + remaining <= *best_weight {
+        if current_weight.saturating_add(remaining) <= *best_weight {
             break;
         }
         // `remove` doubles as the membership test: earlier iterations of
@@ -214,7 +214,10 @@ fn expand(
         if !ws.cands[depth].remove(v) {
             continue;
         }
-        remaining -= cx.weights[v];
+        // A saturated bound stays saturated: it still bounds what is left.
+        if remaining < u64::MAX {
+            remaining -= cx.weights[v];
+        }
         // Child candidates: survivors of this level that also see `v`; the
         // fused kernel builds the set and its remaining-weight bound in one
         // pass.
@@ -226,7 +229,7 @@ fn expand(
             cx,
             ws,
             depth + 1,
-            current_weight + cx.weights[v],
+            current_weight.saturating_add(cx.weights[v]),
             child_remaining,
             best_weight,
         );

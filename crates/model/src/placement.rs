@@ -262,24 +262,35 @@ impl Schedule {
         self.starts[task]
     }
 
-    /// Latest finishing time under `instance`'s durations.
+    /// Latest finishing time under `instance`'s durations, saturating at
+    /// `u64::MAX` for a task that ends past `u64`.
     pub fn makespan(&self, instance: &Instance) -> u64 {
-        self.starts
-            .iter()
-            .zip(instance.tasks())
-            .map(|(s, t)| s + t.duration())
+        self.ends(instance)
+            .map(|end| end.unwrap_or(u64::MAX))
             .max()
             .unwrap_or(0)
     }
 
     /// Whether all precedence arcs and the horizon are honored (ignoring
-    /// space).
+    /// space). A task that ends past `u64` exceeds every horizon and every
+    /// successor's start.
     pub fn respects_precedence(&self, instance: &Instance) -> bool {
+        let end = |u: usize| self.starts[u].checked_add(instance.task(u).duration());
         instance
             .precedence()
             .arcs()
-            .all(|(u, v)| self.starts[u] + instance.task(u).duration() <= self.starts[v])
-            && self.makespan(instance) <= instance.horizon()
+            .all(|(u, v)| end(u).is_some_and(|end| end <= self.starts[v]))
+            && self
+                .ends(instance)
+                .all(|end| end.is_some_and(|end| end <= instance.horizon()))
+    }
+
+    /// When each task ends, or `None` for one that ends past `u64`.
+    fn ends<'a>(&'a self, instance: &'a Instance) -> impl Iterator<Item = Option<u64>> + 'a {
+        self.starts
+            .iter()
+            .zip(instance.tasks())
+            .map(|(s, t)| s.checked_add(t.duration()))
     }
 }
 

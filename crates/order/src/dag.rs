@@ -199,7 +199,8 @@ impl Dag {
         })
     }
 
-    /// Earliest start times honoring all arcs (`start(v) ≥ start(u) + w(u)`).
+    /// Earliest start times honoring all arcs (`start(v) ≥ start(u) + w(u)`),
+    /// saturating at `u64::MAX`: a start past `u64` reads `u64::MAX`.
     ///
     /// # Errors
     ///
@@ -210,7 +211,7 @@ impl Dag {
         let mut start = vec![0u64; self.n];
         for &u in &order {
             for v in self.succ[u].iter() {
-                start[v] = start[v].max(start[u] + weights[u]);
+                start[v] = start[v].max(start[u].saturating_add(weights[u]));
             }
         }
         Ok(start)

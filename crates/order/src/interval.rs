@@ -17,7 +17,8 @@ use crate::Dag;
 pub struct Realization {
     /// Start coordinate of each vertex's interval.
     pub starts: Vec<u64>,
-    /// Total extent `max(start + length)` of the layout.
+    /// Total extent `max(start + length)` of the layout, saturating at
+    /// `u64::MAX`.
     pub extent: u64,
 }
 
@@ -28,6 +29,9 @@ pub struct Realization {
 /// start is the longest weighted chain of strict predecessors — the greedy
 /// earliest layout. Comparable pairs come out disjoint in the prescribed
 /// direction; the extent equals the longest weighted chain of the order.
+/// Starts and extent saturate at `u64::MAX`, so a layout that passes `u64`
+/// reads `u64::MAX` and its last box ends past `u64`, which placement
+/// verification rejects.
 ///
 /// # Panics
 ///
@@ -40,7 +44,7 @@ pub fn realize_from_order(order: &Dag, lengths: &[u64]) -> Realization {
     let extent = starts
         .iter()
         .zip(lengths)
-        .map(|(s, l)| s + l)
+        .map(|(s, l)| s.saturating_add(*l))
         .max()
         .unwrap_or(0);
     Realization { starts, extent }

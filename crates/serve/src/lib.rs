@@ -12,7 +12,7 @@
 //! | `/jobs:batch`         | POST   | submit an array of instances in one request  |
 //! | `/jobs`               | GET    | list all known jobs                          |
 //! | `/jobs/{id}`          | GET    | job status + [`SolveReport`] on completion   |
-//! | `/jobs/{id}`          | DELETE | cancel (cooperative, via [`CancelToken`])    |
+//! | `/jobs/{id}`          | DELETE | cancel (cooperative, via [`SolveHandle`])    |
 //! | `/jobs/{id}/progress` | GET    | live progress snapshot (nodes, phases, rate) |
 //! | `/jobs/{id}/events`   | GET    | chunked NDJSON search-event stream (opt-in)  |
 //! | `/debug/jobs`         | GET    | flight recorder: recent + slow job summaries |
@@ -57,7 +57,6 @@ mod profile;
 mod progress;
 mod recorder;
 mod signal;
-mod sink;
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -68,9 +67,8 @@ use std::time::{Duration, Instant, SystemTime};
 use recopack_core::beacon::{self, Phase as BeaconPhase, ProfileBuilder};
 use recopack_core::telemetry::push_json_str;
 use recopack_core::{
-    pareto_front_with_stats, per_second, Bmp, CancelToken, Fanout, LimitKind, Opp,
-    ProgressCounters, SolveOutcome, SolveReport, SolverConfig, SolverStats, Spp, Telemetry,
-    TelemetrySink,
+    pareto_front_with_stats, per_second, Bmp, LimitKind, Opp, PruneRule, SolveHandle, SolveOutcome,
+    SolveReport, SolverConfig, SolverStats, Spp, Telemetry,
 };
 use recopack_json::Json;
 use recopack_metrics::{Counter, Gauge, Histogram, Registry};
@@ -80,7 +78,6 @@ use cache::{CachedSolution, SolutionCache};
 use progress::{EventStream, JobProgress};
 use recorder::{FlightRecorder, JobSummary};
 pub use signal::{install_shutdown_handler, shutdown_requested};
-pub use sink::MetricsSink;
 
 /// Configuration of one [`Server`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,7 +182,7 @@ enum JobState {
         /// `done`, `cancelled`, or `failed`.
         status: &'static str,
         outcome: String,
-        /// The schema-2 [`SolveReport`] JSON, when the solver produced
+        /// The schema-3 [`SolveReport`] JSON, when the solver produced
         /// statistics.
         report: Option<String>,
         /// The placement in the text format of `recopack_model::format`,
@@ -214,7 +211,7 @@ struct Job {
     /// Correlation id of the HTTP request that submitted this job; echoed
     /// in the job document and every job-transition log line.
     request_id: String,
-    /// Live progress of this job: the shared solver counters of its dedup
+    /// Live progress of this job: the shared solve handle of its dedup
     /// group plus this submission's own queue/solve phase timing.
     progress: Arc<JobProgress>,
     /// Search-event broadcast for `GET /jobs/{id}/events`; `Some` only for
@@ -224,11 +221,11 @@ struct Job {
 }
 
 /// One deduplicated solver run: every job id subscribed to it, plus the
-/// cancellation token wired into the driver's [`SolverConfig`]. The token
-/// fires only when the *last* member unsubscribes.
+/// solve handle wired into the driver's [`SolverConfig`]. The handle is
+/// cancelled only when the *last* member unsubscribes.
 struct InFlight {
     members: Vec<u64>,
-    cancel: CancelToken,
+    handle: SolveHandle,
     /// Unique id of this group. When the last member of a *running* group
     /// cancels, the entry is retired immediately so identical submissions
     /// start fresh instead of joining a cancelled run; the finishing
@@ -283,6 +280,10 @@ struct ServerMetrics {
     solve: Histogram,
     canon_seconds: Histogram,
     nodes: Histogram,
+    searches: Counter,
+    solver_nodes: Counter,
+    propagation_events: Counter,
+    prunes: [Counter; 4],
     cache_hits: Counter,
     cache_misses: Counter,
     dedup_joins: Counter,
@@ -384,6 +385,25 @@ impl ServerMetrics {
                 ],
                 "Search nodes explored per job.",
             ),
+            searches: registry.counter(
+                "recopack_searches_total",
+                "Completed branch-and-bound searches (one per exact decision).",
+            ),
+            solver_nodes: registry.counter(
+                "recopack_solver_nodes_total",
+                "Search nodes explored across all jobs.",
+            ),
+            propagation_events: registry.counter(
+                "recopack_solver_propagation_events_total",
+                "Propagation-queue events processed across all jobs.",
+            ),
+            prunes: PruneRule::ALL.map(|rule| {
+                registry.counter_with(
+                    "recopack_solver_prunes_total",
+                    &[("rule", rule.name())],
+                    "Subtrees refuted, by propagation rule.",
+                )
+            }),
             cache_hits: registry.counter(
                 "recopack_cache_hits_total",
                 "Submissions answered from the canonicalized solution cache.",
@@ -447,7 +467,6 @@ struct Inner {
     idle_timeout: Duration,
     cache: Mutex<SolutionCache>,
     metrics: ServerMetrics,
-    sink: Arc<MetricsSink>,
     recorder: FlightRecorder,
     next_id: AtomicU64,
     next_group: AtomicU64,
@@ -528,7 +547,6 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let metrics = ServerMetrics::new();
-        let sink = Arc::new(MetricsSink::register(&metrics.registry));
         let inner = Arc::new(Inner {
             state: Mutex::new(State::default()),
             work_available: Condvar::new(),
@@ -537,7 +555,6 @@ impl Server {
             idle_timeout: config.idle_timeout.max(Duration::from_millis(10)),
             cache: Mutex::new(SolutionCache::new(config.cache_capacity.max(1))),
             metrics,
-            sink,
             recorder: FlightRecorder::new(Duration::from_millis(config.slow_job_ms)),
             next_id: AtomicU64::new(1),
             next_group: AtomicU64::new(1),
@@ -717,9 +734,19 @@ fn worker_loop(inner: &Inner) {
         let started = Instant::now();
         let finished = run_job(kind, &name, &spec);
         let wall = started.elapsed();
+        // The handle now holds the run's exact totals. They reach the
+        // solver counters before any member is published as terminal, so
+        // a client that sees the job finished and then scrapes reads them.
+        let run = spec.config.handle.progress();
+        inner.metrics.searches.add(run.searches_finished);
+        inner.metrics.solver_nodes.add(run.nodes);
+        inner.metrics.propagation_events.add(run.propagation_events);
+        for (counter, &conflicts) in inner.metrics.prunes.iter().zip(&run.conflicts) {
+            counter.add(conflicts);
+        }
         inner.metrics.in_flight.dec();
         inner.metrics.solve.observe(wall.as_secs_f64());
-        inner.metrics.nodes.observe(finished.nodes as f64);
+        inner.metrics.nodes.observe(run.nodes as f64);
         LogLine::new("job_finished")
             .num("job", id)
             .str("kind", kind.name())
@@ -727,7 +754,7 @@ fn worker_loop(inner: &Inner) {
             .str("status", finished.status)
             .str("outcome", &finished.outcome)
             .ms("wall_ms", wall.as_secs_f64() * 1000.0)
-            .num("nodes", finished.nodes)
+            .num("nodes", run.nodes)
             .emit();
 
         // Re-index the placement from the driver's task order into
@@ -812,7 +839,7 @@ fn worker_loop(inner: &Inner) {
                 request_id: member_request.clone(),
                 queue_wait_ms: queue_wait * 1000.0,
                 solve_ms: solve * 1000.0,
-                nodes: finished.nodes,
+                nodes: run.nodes,
             });
             if slow {
                 LogLine::new("job_slow")
@@ -820,7 +847,7 @@ fn worker_loop(inner: &Inner) {
                     .str("kind", kind.name())
                     .str("request_id", &member_request)
                     .ms("solve_ms", solve * 1000.0)
-                    .num("nodes", finished.nodes)
+                    .num("nodes", run.nodes)
                     .emit();
             }
         }
@@ -856,7 +883,6 @@ struct FinishedJob {
     /// worker re-indexes them into canonical positions before caching or
     /// publishing, so every subscriber renders its own task names.
     placement: Option<Vec<[u64; 3]>>,
-    nodes: u64,
     /// Whether the result is deterministic and complete — a real verdict,
     /// not a budget exhaustion or cancellation — and thus safe to memoize
     /// for identical future submissions.
@@ -880,7 +906,6 @@ fn run_job(kind: JobKind, name: &str, spec: &JobSpec) -> FinishedJob {
             nodes_per_sec: per_sec(stats.nodes),
             propagation_events_per_sec: per_sec(stats.propagation_events),
             stats: stats.clone(),
-            events: None,
             journal_dropped: None,
         }
         .to_json()
@@ -910,7 +935,6 @@ fn run_job(kind: JobKind, name: &str, spec: &JobSpec) -> FinishedJob {
                 report: Some(report_for(&label, 1, &stats)),
                 outcome: label,
                 placement,
-                nodes: stats.nodes,
                 cacheable,
             }
         }
@@ -925,12 +949,11 @@ fn run_job(kind: JobKind, name: &str, spec: &JobSpec) -> FinishedJob {
                     report: Some(report_for(&label, result.decisions, &result.stats)),
                     outcome: label,
                     placement: Some(placement_origins(&result.placement)),
-                    nodes: result.stats.nodes,
                     cacheable: true,
                 }
             }
             None => unresolved(
-                &spec.config.cancel,
+                &spec.config.handle,
                 "no chip admits the deadline or a budget ran out",
             ),
         },
@@ -945,12 +968,11 @@ fn run_job(kind: JobKind, name: &str, spec: &JobSpec) -> FinishedJob {
                     report: Some(report_for(&label, result.decisions, &result.stats)),
                     outcome: label,
                     placement: Some(placement_origins(&result.placement)),
-                    nodes: result.stats.nodes,
                     cacheable: true,
                 }
             }
             None => unresolved(
-                &spec.config.cancel,
+                &spec.config.handle,
                 "no horizon fits the chip spatially or a budget ran out",
             ),
         },
@@ -962,11 +984,10 @@ fn run_job(kind: JobKind, name: &str, spec: &JobSpec) -> FinishedJob {
                     report: Some(report_for(&label, decisions, &stats)),
                     outcome: label,
                     placement: None,
-                    nodes: stats.nodes,
                     cacheable: true,
                 }
             }
-            None => unresolved(&spec.config.cancel, "a budget ran out during the sweep"),
+            None => unresolved(&spec.config.handle, "a budget ran out during the sweep"),
         },
     }
 }
@@ -977,27 +998,20 @@ fn placement_origins(placement: &Placement) -> Vec<[u64; 3]> {
     placement.boxes().iter().map(|b| b.origin).collect()
 }
 
-/// An optimization solver returned no result: either our cancellation hook
-/// fired, or the goal is unreachable within the budgets.
-fn unresolved(cancel: &CancelToken, message: &str) -> FinishedJob {
-    if cancel.is_cancelled() {
-        FinishedJob {
-            status: "cancelled",
-            outcome: "cancelled".to_string(),
-            report: None,
-            placement: None,
-            nodes: 0,
-            cacheable: false,
-        }
+/// An optimization solver returned no result: either the job's handle was
+/// cancelled, or the goal is unreachable within the budgets.
+fn unresolved(handle: &SolveHandle, message: &str) -> FinishedJob {
+    let (status, outcome) = if handle.is_cancelled() {
+        ("cancelled", "cancelled")
     } else {
-        FinishedJob {
-            status: "failed",
-            outcome: message.to_string(),
-            report: None,
-            placement: None,
-            nodes: 0,
-            cacheable: false,
-        }
+        ("failed", message)
+    };
+    FinishedJob {
+        status,
+        outcome: outcome.to_string(),
+        report: None,
+        placement: None,
+        cacheable: false,
     }
 }
 
@@ -1635,16 +1649,15 @@ fn submit_doc(
     } else {
         instance.with_transitive_closure()
     };
-    let cancel = CancelToken::new();
-    // Every run reports live progress; the raw event stream is opt-in so
-    // untraced jobs never serialize an event (pay-for-what-you-use).
+    // Every run reports live progress through its solve handle; the raw
+    // event stream is opt-in, so untraced jobs run with no sink at all.
+    let handle = SolveHandle::new();
     let traced = doc.get("trace").and_then(Json::as_bool).unwrap_or(false);
-    let counters = Arc::new(ProgressCounters::new());
     let stream = traced.then(|| Arc::new(EventStream::new()));
-    let mut sinks: Vec<Arc<dyn TelemetrySink>> = vec![inner.sink.clone(), counters.clone()];
-    if let Some(stream) = &stream {
-        sinks.push(stream.clone());
-    }
+    let telemetry = match &stream {
+        Some(stream) => Telemetry::to(stream.clone()),
+        None => Telemetry::none(),
+    };
     let config = SolverConfig {
         threads: doc.get("threads").and_then(Json::as_u64).unwrap_or(1) as usize,
         use_bounds: doc
@@ -1660,8 +1673,8 @@ fn submit_doc(
             .get("time_limit_ms")
             .and_then(Json::as_u64)
             .map(Duration::from_millis),
-        telemetry: Telemetry::to(Arc::new(Fanout::new(sinks))),
-        cancel: cancel.clone(),
+        telemetry,
+        handle: handle.clone(),
         ..SolverConfig::default()
     };
     let canon_started = Instant::now();
@@ -1705,7 +1718,7 @@ fn submit_doc(
             .placement
             .as_ref()
             .map(|origins| render_placement(origins, &task_names, &canon.rank));
-        let progress = Arc::new(JobProgress::new(counters));
+        let progress = Arc::new(JobProgress::new(handle));
         progress.mark_finished();
         if let Some(stream) = &stream {
             // Born finished: a subscriber gets an immediate end record.
@@ -1766,15 +1779,15 @@ fn submit_doc(
 
     // 2. Attach to an identical run already in flight: no queue slot, no
     //    second solver run — the driver publishes to every subscriber.
-    //    Never join a group whose cancel token has already fired: the
+    //    Never join a group whose handle has already been cancelled: the
     //    joiner would inherit a `cancelled` verdict for a run it never
     //    asked to cancel. Every cancel path retires the entry in the same
-    //    critical section that fires the token, so a stale entry here is a
-    //    defect — drop it and start fresh.
+    //    critical section that cancels the handle, so a stale entry here
+    //    is a defect — drop it and start fresh.
     if st
         .inflight
         .get(&key)
-        .is_some_and(|group| group.cancel.is_cancelled())
+        .is_some_and(|group| group.handle.is_cancelled())
     {
         st.inflight.remove(&key);
     }
@@ -1794,13 +1807,13 @@ fn submit_doc(
             ),
             None => (JobState::Queued, None, None),
         };
-        // A joiner reads the shared run's live counters but keeps its own
+        // A joiner reads the shared run's handle but keeps its own
         // lifecycle timing: it waited in no queue of its own, and a join
         // onto a running group starts its solve phase immediately.
         let progress = Arc::new(JobProgress::new(
             driver_progress
-                .map(|p| p.counters().clone())
-                .unwrap_or_else(|| Arc::new(ProgressCounters::new())),
+                .map(|p| p.handle().clone())
+                .unwrap_or_default(),
         ));
         if matches!(state, JobState::Running) {
             progress.mark_started();
@@ -1858,7 +1871,7 @@ fn submit_doc(
             task_names,
             rank: canon.rank,
             request_id: request_id.to_string(),
-            progress: Arc::new(JobProgress::new(counters)),
+            progress: Arc::new(JobProgress::new(handle.clone())),
             trace: stream,
         },
     );
@@ -1866,7 +1879,7 @@ fn submit_doc(
         key,
         InFlight {
             members: vec![id],
-            cancel,
+            handle,
             group: inner.next_group.fetch_add(1, Ordering::Relaxed),
         },
     );
@@ -1992,8 +2005,9 @@ fn cancel_job(inner: &Inner, id: u64) -> (u16, String) {
         .get_mut(&key)
         .filter(|group| group.members.contains(&id))
     else {
-        // Already detached: an earlier DELETE fired the token and retired
-        // the group; the worker publishes the terminal state shortly.
+        // Already detached: an earlier DELETE cancelled the handle and
+        // retired the group; the worker publishes the terminal state
+        // shortly.
         drop(st);
         return (202, format!("{{\"id\":{id},\"status\":\"cancelling\"}}"));
     };
@@ -2048,7 +2062,7 @@ fn cancel_job(inner: &Inner, id: u64) -> (u16, String) {
 
     // Last subscriber: actually stop the solve.
     if was_queued {
-        group.cancel.cancel();
+        group.handle.cancel();
         st.inflight.remove(&key);
         st.queue.retain(|&queued| queued != id);
         let job = st.jobs.get_mut(&id).expect("job exists");
@@ -2088,13 +2102,13 @@ fn cancel_job(inner: &Inner, id: u64) -> (u16, String) {
             .emit();
         (200, format!("{{\"id\":{id},\"status\":\"cancelled\"}}"))
     } else {
-        // The worker observes the token at its next budget checkpoint and
-        // records the terminal state. Retire the group *now*: an identical
-        // submission arriving while the solver unwinds must start a fresh
-        // run, not join (and inherit the fate of) a cancelled one. The
-        // worker matches on the group id, so a successor entry under this
-        // key is safe from the finishing run.
-        group.cancel.cancel();
+        // The worker observes the cancelled handle at its next budget
+        // checkpoint and records the terminal state. Retire the group
+        // *now*: an identical submission arriving while the solver unwinds
+        // must start a fresh run, not join (and inherit the fate of) a
+        // cancelled one. The worker matches on the group id, so a
+        // successor entry under this key is safe from the finishing run.
+        group.handle.cancel();
         st.inflight.remove(&key);
         drop(st);
         LogLine::new("job_cancelled")

@@ -2,22 +2,23 @@
 //! `GET /jobs/{id}/progress` and the opt-in search event stream behind
 //! `GET /jobs/{id}/events`.
 //!
-//! Every job owns a [`JobProgress`]: a handle on the
-//! [`ProgressCounters`] of the solver run it subscribes to (members of a
-//! dedup group share one counter set, each with its own lifecycle
-//! timing). Jobs submitted with `"trace": true` additionally carry an
-//! [`EventStream`], a broadcast fan-out of raw [`SearchEvent`]s to any
-//! number of HTTP subscribers, each with a bounded buffer and an explicit
-//! dropped counter — the serve-side sibling of the CLI's `FileJournal`.
-//! Untraced jobs never allocate a stream and never serialize an event,
-//! per the pay-for-what-you-use telemetry rule.
+//! Every job owns a [`JobProgress`]: the [`SolveHandle`] of the solver
+//! run it subscribes to (members of a dedup group share one handle, each
+//! with its own lifecycle timing). The search publishes its counters to
+//! that handle whether or not anyone reads them, so progress costs a job
+//! no telemetry sink. Jobs submitted with `"trace": true` additionally
+//! carry an [`EventStream`], a broadcast fan-out of raw [`SearchEvent`]s
+//! to any number of HTTP subscribers, each with a bounded buffer and an
+//! explicit dropped counter — the serve-side sibling of the CLI's
+//! `FileJournal`. It is a traced job's only sink; untraced jobs run with
+//! none and never serialize an event.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use recopack_core::{per_second, ProgressCounters, SearchEvent, SolverStats, TelemetrySink};
+use recopack_core::{per_second, PruneRule, SearchEvent, SolveHandle, TelemetrySink};
 
 /// Milestones of one job's lifecycle, relative to its submission instant.
 #[derive(Default)]
@@ -26,28 +27,28 @@ struct Timing {
     finished: Option<Instant>,
 }
 
-/// One job's live progress: shared solver counters plus this job's own
+/// One job's live progress: the shared solve handle plus this job's own
 /// queue/solve timing. Cheap to clone out of the job table (`Arc`).
 pub(crate) struct JobProgress {
-    /// Event totals of the solver run this job subscribes to; one set per
-    /// dedup group, shared by every member.
-    counters: Arc<ProgressCounters>,
+    /// The handle of the solver run this job subscribes to; one per dedup
+    /// group, shared by every member.
+    handle: SolveHandle,
     submitted: Instant,
     timing: Mutex<Timing>,
 }
 
 impl JobProgress {
-    pub(crate) fn new(counters: Arc<ProgressCounters>) -> Self {
+    pub(crate) fn new(handle: SolveHandle) -> Self {
         Self {
-            counters,
+            handle,
             submitted: Instant::now(),
             timing: Mutex::new(Timing::default()),
         }
     }
 
-    /// The shared counter set, for joiners attaching to this job's run.
-    pub(crate) fn counters(&self) -> &Arc<ProgressCounters> {
-        &self.counters
+    /// The shared solve handle, for joiners attaching to this job's run.
+    pub(crate) fn handle(&self) -> &SolveHandle {
+        &self.handle
     }
 
     /// Marks the solve as started; the first caller wins, so a worker
@@ -116,7 +117,7 @@ impl JobProgress {
         trace: Option<&EventStream>,
     ) -> String {
         use std::fmt::Write as _;
-        let totals = self.counters.snapshot();
+        let progress = self.handle.progress();
         let (queue_wait, solve) = self.split();
         let solve_ms = solve * 1000.0;
         let mut out =
@@ -128,31 +129,28 @@ impl JobProgress {
             queue_wait * 1000.0,
             solve_ms
         );
+        let null_or = |value: Option<String>| value.unwrap_or_else(|| "null".to_string());
+        let conflicts: Vec<String> = PruneRule::ALL
+            .iter()
+            .map(|rule| format!("\"{}\":{}", rule.name(), progress.conflicts[rule.index()]))
+            .collect();
+        let profile: Vec<String> = progress
+            .depth_profile()
+            .iter()
+            .map(u64::to_string)
+            .collect();
         let _ = write!(
             out,
-            ",\"nodes\":{},\"events_total\":{},\"events_per_sec\":",
-            totals.branches,
-            totals.total()
+            ",\"nodes\":{},\"nodes_per_sec\":{},\"leaves\":{},\"conflicts\":{{{}}},\
+             \"searches_finished\":{},\"max_depth\":{},\"depth_profile\":[{}]",
+            progress.nodes,
+            null_or(per_second(progress.nodes, solve_ms).map(|rate| format!("{rate:.1}"))),
+            progress.leaves,
+            conflicts.join(","),
+            progress.searches_finished,
+            null_or(progress.max_depth.map(|depth| depth.to_string())),
+            profile.join(","),
         );
-        match per_second(totals.total(), solve_ms) {
-            Some(rate) => {
-                let _ = write!(out, "{rate:.1}");
-            }
-            None => out.push_str("null"),
-        }
-        let _ = write!(
-            out,
-            ",\"searches_finished\":{},\"max_depth\":{},\"depth_profile\":[",
-            self.counters.searches_finished(),
-            totals.max_depth
-        );
-        for (i, count) in self.counters.depth_profile().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{count}");
-        }
-        let _ = write!(out, "],\"events\":{}", totals.to_json());
         match trace {
             Some(stream) => {
                 let _ = write!(
@@ -175,7 +173,7 @@ impl JobProgress {
 const SUBSCRIBER_BUFFER_LINES: usize = 8192;
 
 /// A broadcast fan-out of one solver run's search events to its HTTP
-/// stream subscribers. Installed (via `Fanout`) only for jobs submitted
+/// stream subscribers. Installed, as the only sink, for jobs submitted
 /// with `"trace": true`.
 #[derive(Default)]
 pub(crate) struct EventStream {
@@ -250,8 +248,6 @@ impl TelemetrySink for EventStream {
             }
         }
     }
-
-    fn search_finished(&self, _stats: &SolverStats) {}
 }
 
 /// One `/jobs/{id}/events` consumer: a bounded line buffer drained by the
@@ -299,10 +295,14 @@ mod tests {
     }
 
     #[test]
-    fn progress_snapshot_reports_phases_and_totals() {
-        let progress = JobProgress::new(Arc::new(ProgressCounters::new()));
+    fn progress_snapshot_reports_phases_and_the_handle_counters() {
+        use recopack_core::{Opp, SolverConfig};
+        use recopack_json::Json;
+        use recopack_model::{Chip, Instance, Task};
+
+        let progress = JobProgress::new(SolveHandle::new());
         let queued = progress.to_json(7, "queued", "req-9", None);
-        let doc = recopack_json::Json::parse(&queued).expect("snapshot parses");
+        let doc = Json::parse(&queued).expect("snapshot parses");
         assert_eq!(doc.get("id").and_then(|v| v.as_u64()), Some(7));
         assert_eq!(doc.get("status").and_then(|v| v.as_str()), Some("queued"));
         assert_eq!(
@@ -310,37 +310,52 @@ mod tests {
             Some("req-9")
         );
         assert_eq!(doc.get("nodes").and_then(|v| v.as_u64()), Some(0));
-        assert_eq!(doc.get("events_per_sec"), Some(&recopack_json::Json::Null));
-        assert_eq!(doc.get("trace"), Some(&recopack_json::Json::Null));
+        assert_eq!(doc.get("nodes_per_sec"), Some(&Json::Null));
+        assert_eq!(doc.get("max_depth"), Some(&Json::Null));
+        assert_eq!(doc.get("trace"), Some(&Json::Null));
 
+        // Five 2x2x2 modules on a 4x4 chip with horizon 2: with bounds
+        // and heuristics off, a 209-node exhaustive proof.
         progress.mark_started();
-        progress.counters().record(&SearchEvent {
-            subtree: 0,
-            depth: 1,
-            t_ns: 0,
-            kind: EventKind::Branch {
-                dim: 0,
-                pair: 0,
-                component: true,
-            },
-        });
+        let instance = Instance::builder()
+            .chip(Chip::square(4))
+            .horizon(2)
+            .tasks((0..5).map(|i| Task::new(format!("t{i}"), 2, 2, 2)))
+            .build()
+            .expect("valid")
+            .with_transitive_closure();
+        let config = SolverConfig {
+            use_bounds: false,
+            use_heuristics: false,
+            handle: progress.handle().clone(),
+            ..SolverConfig::default()
+        };
+        let (_, stats) = Opp::new(&instance).with_config(config).solve_with_stats();
         std::thread::sleep(Duration::from_millis(2));
         progress.mark_finished();
         let (queue_wait, solve) = progress.split();
         assert!(queue_wait >= 0.0);
         assert!(solve > 0.0, "solve phase must have accrued");
         let done = progress.to_json(7, "done", "req-9", None);
-        let doc = recopack_json::Json::parse(&done).expect("snapshot parses");
-        assert_eq!(doc.get("nodes").and_then(|v| v.as_u64()), Some(1));
-        assert!(doc
-            .get("events_per_sec")
-            .and_then(|v| v.as_f64())
-            .is_some_and(|rate| rate > 0.0));
-        let profile = doc
-            .get("depth_profile")
-            .and_then(|v| v.as_array())
-            .expect("profile array");
-        assert_eq!(profile.len(), 2, "branches at depth 1: [0, 1]");
+        let doc = Json::parse(&done).expect("snapshot parses");
+        let field = |name: &str| doc.get(name).and_then(|v| v.as_u64());
+        assert_eq!(field("nodes"), Some(stats.nodes));
+        assert_eq!(field("leaves"), Some(stats.leaves));
+        assert_eq!(field("searches_finished"), Some(1));
+        assert_eq!(field("max_depth"), stats.max_depth().map(|d| d as u64));
+        let c3 = doc.get("conflicts").and_then(|c| c.get("c3"));
+        assert_eq!(c3.and_then(|v| v.as_u64()), Some(stats.c3_conflicts));
+        assert!(doc.get("nodes_per_sec").and_then(|v| v.as_f64()) > Some(0.0));
+        let profile = doc.get("depth_profile").and_then(|v| v.as_array());
+        let profile: Vec<u64> = profile
+            .into_iter()
+            .flatten()
+            .filter_map(|v| v.as_u64())
+            .collect();
+        assert_eq!(
+            profile, stats.depth_histogram,
+            "a shallow tree fits the slots"
+        );
     }
 
     #[test]

@@ -1133,10 +1133,10 @@ fn traced_job_streams_progress_and_events_and_untraced_runs_stay_pristine() {
     );
     assert!(
         snapshot
-            .get("events_per_sec")
+            .get("nodes_per_sec")
             .and_then(Json::as_f64)
             .is_some_and(|rate| rate > 0.0),
-        "live event rate is reported"
+        "live node rate is reported"
     );
 
     // Let the subscriber observe a real window of the search before
@@ -1220,6 +1220,66 @@ fn traced_job_streams_progress_and_events_and_untraced_runs_stay_pristine() {
     assert_eq!(doc.get("trace"), Some(&Json::Null));
     let (status, _) = request(addr, "GET", &format!("/jobs/{untraced}/events"), "");
     assert_eq!(status, 409);
+
+    // An untraced job that searches to exhaustion: five 2x2x2 modules on a
+    // 4x4 chip with horizon 2, a 209-node proof. Once it is done, its
+    // progress and the solver counters hold exactly the report's nodes.
+    let nodes_total = || {
+        let (_, exposition) = request(addr, "GET", "/metrics", "");
+        assert_eq!(
+            metric_value(&exposition, "recopack_search_events_total"),
+            None
+        );
+        metric_value(&exposition, "recopack_solver_nodes_total").expect("nodes series") as u64
+    };
+    let nodes_before = nodes_total();
+    let quads = (0..5).fold(String::from("chip 4 4\nhorizon 2\n"), |text, i| {
+        text + &format!("task t{i} 2 2 2\n")
+    });
+    let search_only = |kind: &str, instance: &str| {
+        let mut body = format!(
+            "{{\"kind\":\"{kind}\",\"use_bounds\":false,\"use_heuristics\":false,\"instance\":"
+        );
+        recopack_core::telemetry::push_json_str(&mut body, instance);
+        body.push('}');
+        let (status, reply) = request(addr, "POST", "/jobs", &body);
+        assert_eq!(status, 202, "{reply}");
+        job_id(&reply)
+    };
+    let exhausted = search_only("opp", &quads);
+    let job = poll_job(addr, exhausted, |s| s != "queued" && s != "running");
+    let report_nodes = job
+        .get("report")
+        .and_then(|r| r.get("stats"))
+        .and_then(|s| s.get("nodes"))
+        .and_then(Json::as_u64);
+    assert_eq!(report_nodes, Some(209));
+    let (_, doc) = get_json(addr, &format!("/jobs/{exhausted}/progress"));
+    assert_eq!(doc.get("nodes").and_then(Json::as_u64), Some(209));
+    assert_eq!(nodes_total() - nodes_before, 209);
+
+    // A BMP job on the hard instance, cancelled once it has searched: the
+    // flight recorder keeps the nodes it explored.
+    let bmp = search_only("bmp", &hard_instance());
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let progress = |id: u64| get_json(addr, &format!("/jobs/{id}/progress")).1;
+    while progress(bmp).get("nodes").and_then(Json::as_u64) == Some(0) {
+        assert!(Instant::now() < deadline, "the BMP job never searched");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let (status, _) = request(addr, "DELETE", &format!("/jobs/{bmp}"), "");
+    assert_eq!(status, 202);
+    poll_job(addr, bmp, |s| s == "cancelled");
+    let (_, recorder) = get_json(addr, "/debug/jobs");
+    let jobs = recorder.get("jobs").and_then(Json::as_array).expect("jobs");
+    let entry = jobs
+        .iter()
+        .find(|job| job.get("id").and_then(Json::as_u64) == Some(bmp));
+    let nodes = entry
+        .and_then(|job| job.get("nodes"))
+        .and_then(Json::as_u64);
+    assert!(nodes > Some(0), "{entry:?}");
+
     let (status, _) = request(addr, "GET", "/jobs/999999/progress", "");
     assert_eq!(status, 404);
     let (status, _) = request(addr, "GET", "/jobs/999999/events", "");

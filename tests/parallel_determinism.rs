@@ -216,9 +216,17 @@ fn profiling_changes_timings_but_not_counters() {
 /// forced-split knobs: identical verdicts, identical merged stats. With
 /// `split_after_nodes: 1` every node offers a split, so this exercises
 /// unit donation, cloning, and abandonment bookkeeping at maximum rate.
+///
+/// Every run's [`SolveHandle`](recopack::solver::SolveHandle) must equal
+/// its merged stats once the solve returns, stolen units included; a BMP
+/// run's handle sums its decisions and counts one finished search per
+/// decision that searched, as a trace journal does.
 #[test]
 fn stealing_scale_verdicts_and_stats_are_invariant() {
+    use std::sync::Arc;
+
     use recopack::model::{Chip, Instance, Task};
+    use recopack::solver::{Bmp, MemoryJournal, SolveProgress, Telemetry};
 
     // ~5000 nodes, infeasible by volume: six 2x2x2 tasks plus four
     // unit-duration 2x2x1 tasks on a 4x4 chip with horizon 2 (the bench
@@ -238,14 +246,42 @@ fn stealing_scale_verdicts_and_stats_are_invariant() {
             split_backlog,
             ..search_only(threads)
         };
-        let (outcome, stats) = Opp::new(&instance).with_config(config).solve_with_stats();
+        let (outcome, stats) = Opp::new(&instance)
+            .with_config(config.clone())
+            .solve_with_stats();
         assert!(
             matches!(outcome, SolveOutcome::Infeasible(_)),
             "{threads} threads (split_after_nodes {split_after_nodes}): expected exhaustion"
         );
+        assert_eq!(
+            config.handle.progress(),
+            SolveProgress::of(&stats, 1),
+            "{threads} threads (split_after_nodes {split_after_nodes}): handle diverged"
+        );
         stats
     };
+    let bmp_at = |threads: usize| {
+        let journal = Arc::new(MemoryJournal::new(0));
+        let config = SolverConfig {
+            split_after_nodes: 1,
+            telemetry: Telemetry::to(journal.clone()),
+            ..search_only(threads)
+        };
+        let result = Bmp::new(&instance)
+            .with_config(config.clone())
+            .solve()
+            .expect("a chip fits the deadline");
+        let searches = journal.searches_finished();
+        assert!(searches > 1, "{threads} threads: BMP runs several searches");
+        assert_eq!(
+            config.handle.progress(),
+            SolveProgress::of(&result.stats, searches),
+            "{threads} threads: BMP handle diverged"
+        );
+        result
+    };
     let sequential = stats_at(1, 256, 0);
+    let sequential_bmp = bmp_at(1);
     assert!(
         sequential.nodes > 1000,
         "the instance must be deep enough to split (got {} nodes)",
@@ -257,6 +293,11 @@ fn stealing_scale_verdicts_and_stats_are_invariant() {
             stats_at(threads, 1, 2),
             sequential,
             "{threads} threads, forced splitting"
+        );
+        assert_eq!(
+            bmp_at(threads).side,
+            sequential_bmp.side,
+            "{threads} threads"
         );
     }
 }

@@ -416,3 +416,53 @@ fn search_sets_up_modules_whose_extents_sum_past_u64() {
         }
     }
 }
+
+/// Three unit modules of 6148914691236517206 cycles each under horizon
+/// `u64::MAX`: any two in sequence fit, all three in sequence pass `u64`.
+/// The C2 clique search and the oriented-chain labels once added their
+/// weights unchecked (a debug build panicked with "attempt to add with
+/// overflow"); their sums saturate now, and the modules run side by side.
+#[test]
+fn clique_and_chain_weights_past_u64_saturate() {
+    use recopack::model::{Instance, Task};
+    use recopack::solver::SolveOutcome;
+    let third = 6_148_914_691_236_517_206;
+    let instance = Instance::builder()
+        .chip(Chip::square(4))
+        .horizon(u64::MAX)
+        .tasks(["a", "b", "c"].map(|name| Task::new(name, 1, 1, third)))
+        .build()
+        .expect("valid");
+    let config = SolverConfig {
+        use_bounds: false,
+        use_heuristics: false,
+        ..SolverConfig::default()
+    };
+    match Opp::new(&instance).with_config(config).solve() {
+        SolveOutcome::Feasible(placement) => assert_eq!(placement.verify(&instance), Ok(())),
+        other => panic!("feasible, got {other:?}"),
+    }
+}
+
+/// A fixed schedule whose task ends past `u64` exceeds every horizon, even
+/// `u64::MAX`: the schedule check once added start and duration unchecked.
+#[test]
+fn fixed_schedules_that_end_past_u64_are_infeasible() {
+    use recopack::model::{Instance, Schedule, Task};
+    use recopack::solver::{FixedSchedule, InfeasibilityProof, SolveOutcome};
+    let half = 1u64 << 63;
+    let instance = Instance::builder()
+        .chip(Chip::square(2))
+        .horizon(u64::MAX)
+        .task(Task::new("a", 1, 1, half))
+        .task(Task::new("b", 1, 1, 1))
+        .build()
+        .expect("valid");
+    let schedule = Schedule::new(vec![half, 0]);
+    assert!(!schedule.respects_precedence(&instance));
+    assert_eq!(schedule.makespan(&instance), u64::MAX);
+    assert_eq!(
+        FixedSchedule::new(&instance, &schedule).feasible(),
+        SolveOutcome::Infeasible(InfeasibilityProof::SearchExhausted)
+    );
+}
